@@ -116,26 +116,12 @@ def cmd_field(args):
     p = _params_from(cfg, args)
     if args.check_identities:
         n = args.n or 10_000
-        from scipy.stats import qmc
-        eng = qmc.Halton(d=3, seed=7)
-        pts = (eng.random(3 * n) - 0.5) * 8 * p.a
-        keep = np.linalg.norm(pts, axis=1) > 0.05 * p.a
-        keep &= ~fields.near_jump_set(p, pts, 0.02 * p.a)
-        pts = pts[keep][:n]
-        z = fields.complex_velocity(p, pts)
-        r = np.linalg.norm(pts, axis=1)
-        level = p.mu ** 2 / (2 * p.lam ** 2)
-        en = float(np.max(np.abs(
-            0.5 * np.sum(z * z, axis=1) - p.mu / r + level) / level))
-        gr, gs = fields.wave_gradients(p, pts)
-        orth = float(np.max(
-            np.abs(np.sum(gr * gs, axis=1))
-            / (np.linalg.norm(gr, axis=1) * np.linalg.norm(gs, axis=1)
-               + 1e-300)))
-        print(json.dumps({"config": p.as_dict(), "n_points": int(len(pts)),
+        en, orth = acceptance.identity_residuals(p, n)
+        print(json.dumps({"config": p.as_dict(), "n_points": n,
                           "max_energy_residual": en,
                           "max_orthogonality": orth}, sort_keys=True))
-        return 0 if (en < 1e-8 and orth < 1e-8) else 1
+        return 0 if (en < acceptance.IDENTITY_ENERGY_TOL
+                     and orth < acceptance.IDENTITY_ORTH_TOL) else 1
     if args.grid:
         if not args.box:
             raise ConfigError("--grid needs --box x0,x1,y0,y1")
@@ -180,11 +166,10 @@ def cmd_simulate(args):
     out_dir, prefix = _out_dir(cfg, args)
 
     if args.deterministic:
-        period, _ = sde.deterministic_orbit(p, dt=1e-5,
-                                            n_periods=args.n_periods)
+        period, _ = sde.deterministic_orbit(p, n_periods=args.n_periods)
         theory = 2 * math.pi * math.sqrt(p.a ** 3 / p.mu)
         report = {"config": {"params": p.as_dict(), "mode": "deterministic",
-                             "dt": 1e-5, "n_periods": args.n_periods},
+                             "n_periods": args.n_periods},
                   "period": period,
                   "period_theory": theory,
                   "relative_error": abs(period / theory - 1)}

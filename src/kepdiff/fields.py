@@ -28,26 +28,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (BranchPointWarning, ConvergenceError, PhysParams,
-                     SingularPointError)
+from .params import BranchPointWarning, PhysParams, SingularPointError
 
 #: Points closer to the origin than this multiple of the semimajor axis
 #: are treated as singular (the drift blows up at |x| = 0).
 ORIGIN_TOL = 1e-12
 
-#: Clamp negative radicands above this threshold to zero; anything more
-#: negative indicates a genuine formula error, not floating-point dust.
-RADICAL_GUARD = -1e-13
 
-
-def _as_points(pt):
+def as_points(pt):
+    """The input as a float array of points, shape (..., 3)."""
     pt = np.asarray(pt, dtype=float)
     if pt.shape[-1] != 3:
         raise ValueError(f"points must have shape (..., 3), got {pt.shape}")
     return pt
 
 
-def _radius(pt):
+def radius(pt):
+    """Euclidean norm |x| over the last axis."""
     return np.sqrt(np.sum(pt * pt, axis=-1))
 
 
@@ -63,8 +60,8 @@ def nodal_coordinate(p: PhysParams, pt):
     set corresponds to real values in (0, 4); the attracting ellipse is
     the curve traced by 2 - cos(v)(1+e^2)/e - i sin(v)(1-e^2)/e.
     """
-    pt = _as_points(pt)
-    r = _radius(pt)
+    pt = as_points(pt)
+    r = radius(pt)
     _check_origin(p, r)
     e = p.ecc
     return (p.mu / p.lam ** 2) * (
@@ -94,9 +91,9 @@ def alpha_beta(p: PhysParams, pt):
     parts of :func:`drift_root` to rounding (a property test pins that).
     Raises on the degenerate focal ray where e|x| = x and y = 0.
     """
-    pt = _as_points(pt)
+    pt = as_points(pt)
     x, y = pt[..., 0], pt[..., 1]
-    r = _radius(pt)
+    r = radius(pt)
     _check_origin(p, r)
     e = p.ecc
     c = 4 * p.lam ** 2 * e / p.mu
@@ -106,19 +103,20 @@ def alpha_beta(p: PhysParams, pt):
     if np.any(D <= 0):
         raise SingularPointError(
             "degenerate denominator on the focal ray (e|x| = x, y = 0)")
+    # w^2 = 1 - 4/nu has modulus 2 t1 and real part 2 t2, so
+    # alpha^2 = t1 + t2 and beta^2 = t1 - t2.  Near the jump set one of
+    # the two radicands cancels; take the larger of alpha and |beta| from
+    # the one that cannot, and the other from
+    # alpha beta = Im(1 - 4/nu)/2 = -c sqrt(1-e^2) y / (2 D).
     t1 = 0.5 * np.sqrt(((A - c) ** 2 + B2) / D)
     t2 = 0.5 * ((A - c / 2) ** 2 + B2 - c * c / 4) / D
-    rad = t1 + t2
-    bad = rad < RADICAL_GUARD
-    if np.any(bad):
-        raise ArithmeticError(
-            f"alpha radicand fell below the guard: min {np.min(rad)}")
-    alpha = np.sqrt(np.maximum(rad, 0.0))
-    # beta = Im w follows from 2 * Re w * Im w = Im(1 - 4/nu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(alpha > 0,
-                        -c / 2 * np.sqrt(1 - e * e) * y / (D * np.where(alpha > 0, alpha, 1.0)),
-                        0.0)
+    big = np.sqrt(t1 + np.abs(t2))
+    # big = 0 only at the branch point nu = 4, where y = 0 and so small = 0
+    small = -c / 2 * np.sqrt(1 - e * e) * y / (D * np.where(big > 0, big, 1.0))
+    re_pos = t2 >= 0
+    alpha = np.where(re_pos, big, np.abs(small))
+    # principal root: beta >= 0 on the jump set itself (y = 0)
+    beta = np.where(re_pos, small, np.where(small < 0, -big, big))
     return alpha, beta
 
 
@@ -130,8 +128,8 @@ def complex_velocity(p: PhysParams, pt):
     with w the principal drift root.  Satisfies the energy identity
     Z.Z/2 - mu/|x| = -mu^2/(2 lam^2) everywhere it is defined.
     """
-    pt = _as_points(pt)
-    r = _radius(pt)
+    pt = as_points(pt)
+    r = radius(pt)
     _check_origin(p, r)
     w = drift_root(p, pt)
     e = p.ecc
@@ -150,8 +148,8 @@ def wave_gradients(p: PhysParams, pt):
     the two vectors are orthogonal and reconstruct the complex velocity
     through Z = eps^2 (grad_S - i grad_R).
     """
-    pt = _as_points(pt)
-    r = _radius(pt)
+    pt = as_points(pt)
+    r = radius(pt)
     _check_origin(p, r)
     alpha, beta = alpha_beta(p, pt)
     e = p.ecc
@@ -170,29 +168,30 @@ def wave_gradients(p: PhysParams, pt):
 def drift(p: PhysParams, pt):
     """Drift b of the limiting diffusion, shape (..., 3).
 
-    Componentwise, with w = alpha + i beta,
+    :func:`drift_components` on the points, after rejecting the origin
+    and the focal ray (nu = 0), where the drift is undefined.  It
+    equals Re Z - Im Z.  On the attracting ellipse the drift is tangent
+    with the Kepler speed (mu/lam) sqrt((1+e cos v)/(1-e cos v)).
+    """
+    pt = as_points(pt)
+    if np.any(nodal_coordinate(p, pt) == 0):
+        raise SingularPointError("drift on the focal ray (e|x| = x, y = 0)")
+    return np.stack(drift_components(p, pt[..., 0], pt[..., 1], pt[..., 2]),
+                    axis=-1)
+
+
+def drift_components(p: PhysParams, x, y, z):
+    """The drift (b_x, b_y, b_z) at coordinate arrays x, y, z; unchecked.
+
+    With w = alpha + i beta the principal drift root,
         b_x = (mu/2lam) ((alpha+beta-1)/e - (alpha+beta+1) x/|x|)
         b_y = (mu/2lam) ((alpha-beta-1) sqrt(1-e^2)/e - (alpha+beta+1) y/|x|)
         b_z = -(mu/2lam) (alpha+beta+1) z/|x|
-    and equals Re Z - Im Z.  On the attracting ellipse the drift is
-    tangent with the Kepler speed (mu/lam) sqrt((1+e cos v)/(1-e cos v)).
+    This is the one implementation of the drift: :func:`drift`, the
+    simulator, the orbit integrator and the generator assembly all call
+    it.  The origin and the focal ray give non-finite values instead of
+    an error; use :func:`drift` where the input is not known to be valid.
     """
-    pt = _as_points(pt)
-    r = _radius(pt)
-    _check_origin(p, r)
-    alpha, beta = alpha_beta(p, pt)
-    e = p.ecc
-    sq = np.sqrt(1 - e * e)
-    k = p.mu / (2 * p.lam)
-    s = (alpha + beta + 1) / r
-    bx = k * ((alpha + beta - 1) / e - s * pt[..., 0])
-    by = k * ((alpha - beta - 1) * sq / e - s * pt[..., 1])
-    bz = -k * s * pt[..., 2]
-    return np.stack([bx, by, bz], axis=-1)
-
-
-def _drift_unchecked(p: PhysParams, x, y, z):
-    """Fast componentwise drift for the simulator; no validity checks."""
     e = p.ecc
     sq = np.sqrt(1 - e * e)
     r = np.sqrt(x * x + y * y + z * z)
@@ -220,7 +219,7 @@ class FieldSample:
 
     @classmethod
     def at(cls, p: PhysParams, pt) -> "FieldSample":
-        pt = _as_points(pt)
+        pt = as_points(pt)
         alpha, beta = alpha_beta(p, pt)
         grad_r, grad_s = wave_gradients(p, pt)
         return cls(nu=complex(nodal_coordinate(p, pt)),
@@ -276,7 +275,7 @@ def near_jump_set(p: PhysParams, pts, tol):
     the worst-case boundary slope).  Suited to carving exclusion tubes
     out of large samples without computing exact distances.
     """
-    pts = _as_points(pts)
+    pts = as_points(pts)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     pad = 2.0 * tol / np.sqrt(1 - p.ecc ** 2)
     return (np.abs(y) <= tol) & in_jump_set(p, x, z, pad=pad)
@@ -321,7 +320,7 @@ def jump_distance(p: PhysParams, pt):
     Zero inside the set.  Used by the simulator's diagnostics and by the
     identity suite to carve exclusion tubes around the discontinuity.
     """
-    pt = _as_points(pt)
+    pt = as_points(pt)
     if pt.ndim == 1:
         x, y, z = pt
         if in_jump_set(p, x, z):
@@ -337,7 +336,7 @@ def jump_distance_many(p: PhysParams, pts, n_mesh=2048):
     use :func:`jump_distance` for scalar high-accuracy queries).
     Points are processed in chunks to bound the distance-matrix memory.
     """
-    pts = _as_points(pts)
+    pts = as_points(pts)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     inside = in_jump_set(p, x, z)
     zmax = max(2.0 * float(np.max(np.abs(z), initial=0.0)), 8 * p.a)
@@ -400,65 +399,44 @@ def from_elliptic(p: PhysParams, coords):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def _second_focus_x(p: PhysParams, u):
-    """x-coordinate of the second focus of the u-ellipse: -4 a e u/(e+u)."""
-    return -4 * p.a * p.ecc * u / (p.ecc + u)
+def elliptic_uv(p: PhysParams, x, y):
+    """(u, v) at Cartesian coordinate arrays x, y; unchecked, vectorised.
 
-
-def _u_bisect(p, x, y, tol=1e-13, max_iter=200):
-    """Solve the defocal identity |x| + |x - F(u)| = 2 s(u) for u.
-
-    s(u) = 2 a e/(e+u) is the semimajor axis of the u-ellipse and F(u)
-    its second focus.  G(u) = r + r'(u) - 2 s(u) increases from -inf at
-    u -> -e to >= 0 at u = 1, so bisection is safe.
+    u in closed form: the nodal coordinate taken with the planar radius,
+    nu = (hypot(x, y) - x/e - i y sqrt(1-e^2)/e)/a, maps the u-ellipse
+    onto the ellipse with foci 0 and 4 (the ends of the jump segment)
+    and semimajor axis A = (|nu| + |nu - 4|)/2 >= 2, and
+    u = (2 - A e)/(A - 2e).  v follows from the two coordinate equations
+    x = s (cos v - u), y = s sqrt(1-u^2) sin v with s = 2 a e/(e + u),
+    and is 0 where 1 - u^2 vanishes.  The planar origin maps to (1, 0).
     """
     e, a = p.ecc, p.a
-    r = np.hypot(x, y)
-    lo = np.full_like(r, -e * (1 - 1e-14), dtype=float)
-    hi = np.ones_like(r)
-
-    def G(u):
-        s = 2 * a * e / (e + u)
-        return r + np.hypot(x + 2 * s * u, y) - 2 * s
-
-    # expected accuracy ~ (1 + e) 2^-n_iter; 60 sweeps clear 1e-13 easily
-    n_iter = max(60, int(np.ceil(np.log2((1 + e) / tol))))
-    if n_iter > max_iter:
-        n_iter = max_iter
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        neg = G(mid) < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    u = 0.5 * (lo + hi)
-    if np.any(hi - lo > 10 * tol * (1 + e)):
-        raise ConvergenceError("coordinate inversion bisection stalled")
-    return u
-
-
-def to_elliptic(p: PhysParams, pt, tol=1e-13):
-    """Invert the coordinate map at a Cartesian point.
-
-    Solves for u by safeguarded bisection on the defocal identity, then
-    recovers v from the two coordinate equations.  Round-trips with
-    :func:`from_elliptic` to 1e-10 away from the degeneracies
-    ((x, y) = 0 and the u = 1 segment).
-    """
-    pt = _as_points(pt)
-    scalar = pt.ndim == 1
-    x, y, z = pt[..., 0], pt[..., 1], pt[..., 2]
-    if np.any(np.hypot(x, y) <= 0):
-        raise SingularPointError("coordinate inversion at the planar origin")
-    u = _u_bisect(p, x, y, tol=tol)
-    e, a = p.ecc, p.a
+    nu = (np.hypot(x, y) - x / e - 1j * y * np.sqrt(1 - e * e) / e) / a
+    A = 0.5 * (np.abs(nu) + np.abs(nu - 4))
+    u = (2 - A * e) / (A - 2 * e)
     s = 2 * a * e / (e + u)
     cv = x / s + u
     one_m_u2 = np.maximum(1 - u * u, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         sv = np.where(one_m_u2 > 1e-28, y / (s * np.sqrt(np.where(
             one_m_u2 > 1e-28, one_m_u2, 1.0))), 0.0)
-    v = np.mod(np.arctan2(sv, cv), 2 * np.pi)
-    if scalar:
+    return u, np.mod(np.arctan2(sv, cv), 2 * np.pi)
+
+
+def to_elliptic(p: PhysParams, pt):
+    """Invert the coordinate map at a Cartesian point.
+
+    Rejects the planar origin, where v is undefined, then evaluates
+    :func:`elliptic_uv`.  Round-trips with :func:`from_elliptic` to
+    1e-10 away from the degeneracies ((x, y) = 0 and the u = 1 segment,
+    where a rounding error du in u moves v by about du/(1 - u^2)).
+    """
+    pt = as_points(pt)
+    x, y, z = pt[..., 0], pt[..., 1], pt[..., 2]
+    if np.any(np.hypot(x, y) <= 0):
+        raise SingularPointError("coordinate inversion at the planar origin")
+    u, v = elliptic_uv(p, x, y)
+    if pt.ndim == 1:
         return EllipticCoords(float(u), float(v), float(z))
     return u, v, np.asarray(z, dtype=float)
 

@@ -19,11 +19,11 @@ once; the empirical fit in the test suite confirms the factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import to_elliptic, _as_points
+from .fields import as_points, to_elliptic
 from .params import ConfigError, InsufficientSamplesError, PhysParams
 from .quadrature import adaptive_quad
 from .specfun import elliptic_e, log_amplitude
@@ -160,7 +160,7 @@ def log_invariant_density(p: PhysParams, pt):
     tangential factor is extended off the ellipse as a function of the
     cylindrical eccentric-angle coordinate alone (constant in u and z).
     """
-    pt = _as_points(pt)
+    pt = as_points(pt)
     if pt.ndim == 1:
         v = to_elliptic(p, pt).v
     else:
@@ -173,14 +173,11 @@ class EllipseDensity:
     """Bundle of the on-ellipse density ingredients for one parameter set."""
 
     params: PhysParams
-    normalization: float = field(init=False)
 
-    def __post_init__(self):
-        e = self.params.ecc
-        xi_m = 2 * e / (1 - e * e)
-        xi_p = 2 * e / (1 + e * e)
-        self.normalization = (1 - e * e) * elliptic_e(-xi_m ** 2) \
-            + (1 + e * e) * elliptic_e(xi_p ** 2)
+    @property
+    def normalization(self):
+        """Half the full-turn integral of the Laplace weight."""
+        return laplace_weight_integral(self.params.ecc) / 2
 
     def T_of_v(self, v):
         return tangential_factor(self.params.ecc, v)

@@ -2,9 +2,12 @@
 
 The drift is discontinuous across the jump set and blows up only at the
 origin, so Euler-Maruyama is the right tool; higher-order schemes buy
-nothing here.  Paths that fall into the origin ball are truncated (kept
-frozen and flagged), never aborted, and excluded from stationary
-statistics.
+nothing here.  The drift and the recorded (u, v) coordinates come from
+the unchecked kernels :func:`fields.drift_components` and
+:func:`fields.elliptic_uv`; the zero-noise orbit integrates the same
+drift with an adaptive ODE solver.  Paths that fall into the origin
+ball are truncated (kept frozen and flagged), never aborted, and
+excluded from stationary statistics.
 
 Reproducibility: noise comes from one Philox4x64-10 bit generator per
 path, keyed by (seed, path_index).  A path's noise is its generator's
@@ -19,8 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from .fields import _drift_unchecked, in_jump_set, jump_distance_many
+from .fields import (drift_components, elliptic_uv, in_jump_set,
+                     jump_distance_many)
 from .params import ConfigError, ConvergenceError, PhysParams, SingularPointError
 
 #: Convergence-tube half-widths used by the diagnostics (acceptance
@@ -169,7 +174,7 @@ def step(cfg: SimConfig, x, gauss):
     r = float(np.linalg.norm(x))
     if r < 1e-8 * p.a:
         raise SingularPointError("step requested inside the origin ball")
-    bx, by, bz = _drift_unchecked(p, x[0], x[1], x[2])
+    bx, by, bz = drift_components(p, x[0], x[1], x[2])
     b = np.array([bx, by, bz])
     nb = float(np.linalg.norm(b))
     if nb > cfg.drift_cap:
@@ -205,7 +210,7 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     rec_t[0] = 0.0
     rec_i = 1
 
-    u0 = _u_many(p, X[:, 0], X[:, 1])
+    u0, _ = elliptic_uv(p, X[:, 0], X[:, 1])
 
     k = 0
     with np.errstate(all="ignore"):
@@ -216,7 +221,7 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
                 for i, g in enumerate(gens):
                     noise[i] = g.standard_normal((chunk, 3))
             for j in range(chunk):
-                bx, by, bz = _drift_unchecked(p, X[:, 0], X[:, 1], X[:, 2])
+                bx, by, bz = drift_components(p, X[:, 0], X[:, 1], X[:, 2])
                 nb = np.sqrt(bx * bx + by * by + bz * bz)
                 over = active & (nb > cfg.drift_cap)
                 if np.any(over):
@@ -250,7 +255,7 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     rec_pos = rec_pos[:, :rec_i]
     rec_t = rec_t[:rec_i]
     flat = rec_pos.reshape(-1, 3)
-    u, v = _u_v_many(p, flat[:, 0], flat[:, 1])
+    u, v = elliptic_uv(p, flat[:, 0], flat[:, 1])
     u = u.reshape(n_paths, rec_i)
     v = v.reshape(n_paths, rec_i)
     if cfg.compute_jump_dist:
@@ -266,75 +271,38 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
         jump_crossings=crossings, start_u=u0)
 
 
-def _u_many(p, x, y):
-    e, a = p.ecc, p.a
-    r = np.hypot(x, y)
-    lo = np.full_like(r, -e * (1 - 1e-14))
-    hi = np.ones_like(r)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        s = 2 * a * e / (e + mid)
-        neg = (r + np.hypot(x + 2 * s * mid, y) - 2 * s) < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
+def deterministic_orbit(p: PhysParams, n_periods=5):
+    """Zero-noise orbit from perihelion; returns (period, time integrated).
 
-
-def _u_v_many(p, x, y):
-    u = _u_many(p, x, y)
-    e, a = p.ecc, p.a
-    s = 2 * a * e / (e + u)
-    cv = x / s + u
-    one_m = np.maximum(1 - u * u, 1e-300)
-    sv = y / (s * np.sqrt(one_m))
-    return u, np.mod(np.arctan2(sv, cv), 2 * np.pi)
-
-
-def deterministic_orbit(p: PhysParams, dt=1e-5, n_periods=5, x0=None):
-    """Zero-noise Euler orbit from perihelion; returns the measured period.
-
-    Integrates xdot = b(x) with plain scalar arithmetic (the vectorised
-    ensemble loop would be needlessly slow for one path at this dt) and
-    measures the time per full winding of the eccentric angle, linearly
-    interpolated at the final crossing.
+    Integrates xdot = b(x) in the z = 0 plane with an adaptive
+    Dormand-Prince 8(5,3) solver, together with the eccentric angle
+    v = atan2(y / sqrt(1-e^2), x + a e) through its time derivative, and
+    stops on the event that v has wound n_periods full turns.  The
+    period is the event time over n_periods.  Raises ConvergenceError
+    when the winding is not reached within five third-law periods per
+    requested turn.
     """
-    e = p.ecc
-    a = p.a
+    e, a = p.ecc, p.a
     sq = math.sqrt(1 - e * e)
-    k = p.mu / (2 * p.lam)
-    if x0 is None:
-        x, y = a * (1 - e), 0.0
-    else:
-        x, y = float(x0[0]), float(x0[1])
     target = 2 * math.pi * n_periods
-    wound = 0.0
-    v_prev = math.atan2(y / sq, x + a * e)
-    t = 0.0
-    max_steps = int(target / (0.2 * dt)) + 1000  # generous speed floor
-    for _ in range(max_steps):
-        r = math.hypot(x, y)
-        nu = (p.mu / p.lam ** 2) * complex(r - x / e, -y * sq / e)
-        w = (1 - 4 / nu) ** 0.5
-        al, be = w.real, w.imag
-        s = (al + be + 1) / r
-        bx = k * ((al + be - 1) / e - s * x)
-        by = k * ((al - be - 1) * sq / e - s * y)
-        x += bx * dt
-        y += by * dt
-        t += dt
-        v = math.atan2(y / sq, x + a * e)
-        dv = v - v_prev
-        if dv > math.pi:
-            dv -= 2 * math.pi
-        elif dv < -math.pi:
-            dv += 2 * math.pi
-        v_prev = v
-        new_wound = wound + dv
-        if abs(new_wound) >= target:
-            frac = (target - abs(wound)) / abs(dv)
-            return (t - dt + frac * dt) / n_periods, t
-        wound = new_wound
-    raise ConvergenceError("orbit did not complete the requested windings")
+
+    def rhs(t, state):
+        x, y, _ = state
+        bx, by, _ = drift_components(p, x, y, 0.0)
+        cx, cy = x + a * e, y / sq
+        return [bx, by, (cx * by / sq - cy * bx) / (cx * cx + cy * cy)]
+
+    def wound(t, state):
+        return state[2] - target
+    wound.terminal = True
+
+    sol = solve_ivp(rhs, (0.0, 5 * n_periods * p.orbital_period),
+                    [a * (1 - e), 0.0, 0.0], method="DOP853", rtol=1e-10,
+                    atol=1e-12 * a, events=wound)
+    if sol.t_events[0].size == 0:
+        raise ConvergenceError("orbit did not complete the requested windings")
+    t_end = float(sol.t_events[0][0])
+    return t_end / n_periods, t_end
 
 
 def areal_velocity(ens: TrajectoryEnsemble):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _as_points, _radius, nodal_coordinate
+from .fields import as_points, nodal_coordinate, radius
 from .params import (BranchPointWarning, ConfigError, NodeError, PhysParams,
                      SingularPointError)
 
@@ -130,8 +130,8 @@ def complex_velocity_finite(p: PhysParams, n: int, pt):
     """
     if n < 1:
         raise ConfigError("degree must be >= 1")
-    pt = _as_points(pt)
-    r = _radius(pt)
+    pt = as_points(pt)
+    r = radius(pt)
     if np.any(r <= 0):
         raise SingularPointError("finite-degree velocity at the origin")
     nu = nodal_coordinate(p, pt)
@@ -157,8 +157,8 @@ def log_wave(p: PhysParams, pt):
     constant.  The imaginary part (the phase S) jumps across the branch
     cuts in the y = 0 plane; only its gradient is contract-bearing.
     """
-    pt = _as_points(pt)
-    r = _radius(pt)
+    pt = as_points(pt)
+    r = radius(pt)
     if np.any(r <= 0):
         raise SingularPointError("wave function at the origin")
     nu = nodal_coordinate(p, pt)

@@ -24,8 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import (_drift_unchecked, ellipse_point, in_jump_set,
-                     jump_interval, wave_gradients)
+from .fields import (drift, drift_components, ellipse_point, elliptic_uv,
+                     in_jump_set, jump_interval, wave_gradients)
 from .measure import (cross_section_widths, log_invariant_density,
                       tangential_factor)
 from .params import (ConfigError, ConvergenceError, PhysParams,
@@ -44,8 +44,8 @@ class GridSpec:
 
     dim may be 1 (control problems), 2 (the z = 0 restriction, the
     default production setting) or 3.  n is points per axis (int, or one
-    int per axis); spacing must come out equal on all axes.  boundary is
-    reflecting: transitions leaving the box or entering the excluded
+    int per axis); spacing must come out equal on all axes.  The boundary
+    is reflecting: transitions leaving the box or entering the excluded
     ball are simply dropped.
     """
 
@@ -53,7 +53,6 @@ class GridSpec:
     box: tuple
     n: tuple
     excluded: float = 0.0
-    boundary: str = "reflecting"
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -66,8 +65,6 @@ class GridSpec:
             raise ConfigError("n must be an int or one int per axis")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "n", n)
-        if self.boundary != "reflecting":
-            raise ConfigError("only reflecting boundaries are supported")
         hs = [(hi - lo) / nn for (lo, hi), nn in zip(box, n)]
         if max(hs) - min(hs) > 1e-12 * max(hs):
             raise ConfigError(f"grid spacing must be uniform, got {hs}")
@@ -90,8 +87,7 @@ class GridSpec:
 
     def as_dict(self):
         return {"dim": self.dim, "box": [list(b) for b in self.box],
-                "n": list(self.n), "excluded": self.excluded,
-                "boundary": self.boundary}
+                "n": list(self.n), "excluded": self.excluded}
 
 
 def default_grid(p: PhysParams, dim=2, n=None) -> GridSpec:
@@ -160,7 +156,7 @@ def _model_drift_nd(p: PhysParams, nodes, dim):
     y = nodes[:, 1] if dim >= 2 else np.zeros_like(x)
     z = nodes[:, 2] if dim == 3 else np.zeros_like(x)
     with np.errstate(all="ignore"):
-        bx, by, bz = _drift_unchecked(p, x, y, z)
+        bx, by, bz = drift_components(p, x, y, z)
     cols = [bx, by, bz][:dim]
     return np.stack([np.nan_to_num(c) for c in cols], axis=1)
 
@@ -397,8 +393,7 @@ def gap_from_matrix(G: GeneratorMatrix, n_eigs=6, krylov_m=80,
         M = (Q - lam * sp.identity(N, format="csr")).tocsc().astype(complex)
         try:
             vec = spla.splu(M).solve(vec)
-        except RuntimeError:  # shift landed on an eigenvalue exactly
-            converged = True
+        except RuntimeError:  # singular shift; the final residual decides
             break
         vec /= np.linalg.norm(vec)
         lam = complex(np.vdot(vec, Q @ vec))
@@ -619,7 +614,7 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
            - 4 * C) / (h * h)
     Xi, Yi = X[1:-1, 1:-1], Y[1:-1, 1:-1]
     with np.errstate(all="ignore"):
-        bx, by, _ = _drift_unchecked(p, Xi, Yi, np.zeros_like(Xi))
+        bx, by, _ = drift_components(p, Xi, Yi, np.zeros_like(Xi))
         lw = log_invariant_density(
             p, pts[1:-1, 1:-1].reshape(-1, 3)).reshape(Xi.shape)
     bx = np.nan_to_num(bx)
@@ -675,8 +670,7 @@ class SpectralConfig:
 
 
 def _log_T_hat(p: PhysParams, x, y):
-    from .sde import _u_v_many
-    _, v = _u_v_many(p, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    _, v = elliptic_uv(p, x, y)
     return np.log(tangential_factor(p.ecc, v))
 
 
@@ -861,12 +855,11 @@ def _lhs_rhs(p: PhysParams, pt, h):
     g = np.exp(_log_psi_tilde(p, stencil) - lc)
     lap_g = (np.sum(g) - 6.0) / (h * h)
 
-    from .fields import drift as drift_field
-    b0 = drift_field(p, pt)
+    b0 = drift(p, pt)
     div_b = 0.0
     for axis in range(3):
-        bp = drift_field(p, stencil[2 * axis])[axis]
-        bm = drift_field(p, stencil[2 * axis + 1])[axis]
+        bp = drift(p, stencil[2 * axis])[axis]
+        bm = drift(p, stencil[2 * axis + 1])[axis]
         div_b += (bp - bm) / (2 * h)
     lhs = 0.5 * (-p.eps ** 4 * lap_g + p.eps ** 2 * div_b
                  + float(np.dot(b0, b0)))

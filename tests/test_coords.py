@@ -6,7 +6,43 @@ from hypothesis import given, settings, strategies as st
 
 from kepdiff import (EllipticCoords, PhysParams, SingularPointError,
                      ellipse_point, from_elliptic, to_elliptic)
-from kepdiff.fields import _second_focus_x
+from kepdiff.fields import elliptic_uv
+
+
+# ---------------------------------------------------------------------------
+# bisection oracle for u
+# ---------------------------------------------------------------------------
+
+def _second_focus_x(p, u):
+    """x-coordinate of the second focus of the u-ellipse: -4 a e u/(e+u)."""
+    return -4 * p.a * p.ecc * u / (p.ecc + u)
+
+
+def _u_bisect(p, x, y, n_iter=200):
+    """Solve the defocal identity |x| + |x - F(u)| = 2 s(u) for u.
+
+    s(u) = 2 a e/(e+u) is the semimajor axis of the u-ellipse and F(u)
+    its second focus.  G(u) = r + r'(u) - 2 s(u) increases from -inf at
+    u -> -e to >= 0 at u = 1, so bisection is safe; 200 halvings take
+    the bracket down to adjacent floats.
+    """
+    e, a = p.ecc, p.a
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = np.hypot(x, y)
+    lo = np.full_like(r, -e * (1 - 1e-14))
+    hi = np.ones_like(r)
+
+    def G(u):
+        s = 2 * a * e / (e + u)
+        return r + np.hypot(x - _second_focus_x(p, u), y) - 2 * s
+
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        neg = G(mid) < 0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def test_forward_map_perihelion(p):
@@ -54,6 +90,42 @@ def test_round_trip_property(u, v, z):
         return
     back = from_elliptic(pp, to_elliptic(pp, pt))
     assert np.max(np.abs(back - pt)) < 1e-9
+
+
+@st.composite
+def _planar_points(draw):
+    """(e, x, y): a bulk point from 1e-3 a to 1e3 a, a point within
+    1e-16..1e-2 of the u = 1 segment, or a far point (u -> -e)."""
+    e = draw(st.floats(0.05, 0.95))
+    pp = PhysParams(ecc=e)
+    kind = draw(st.sampled_from(["bulk", "segment", "far"]))
+    if kind == "segment":
+        # the u = 1 ellipse degenerates to the segment from the origin
+        # to its second focus, -4 a e/(1+e) <= x <= 0
+        x = draw(st.floats(_second_focus_x(pp, 1.0), 0.0))
+        y = draw(st.sampled_from([-1.0, 1.0])) \
+            * 10.0 ** draw(st.floats(-16.0, -2.0))
+        return e, x, y
+    log_r = draw(st.floats(-3.0, 3.0) if kind == "bulk"
+                 else st.floats(2.0, 3.0))
+    th = draw(st.floats(0.0, 2 * math.pi))
+    r = pp.a * 10.0 ** log_r
+    return e, r * math.cos(th), r * math.sin(th)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planar_points())
+def test_closed_form_u_matches_bisection(point):
+    e, x, y = point
+    pp = PhysParams(ecc=e)
+    u, _ = elliptic_uv(pp, np.array([x]), np.array([y]))
+    assert -e < u[0] <= 1.0
+    assert abs(u[0] - _u_bisect(pp, x, y)) <= 1e-12
+
+
+def test_closed_form_u_at_planar_origin(p):
+    u, v = elliptic_uv(p, np.zeros(1), np.zeros(1))
+    assert (u[0], v[0]) == (1.0, 0.0)
 
 
 def test_u_out_of_range_raises(p):

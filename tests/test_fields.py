@@ -95,6 +95,26 @@ def test_alpha_vanishes_on_jump_set(p):
     assert np.all(al < 1e-5)
 
 
+def _near_jump_set_points(p, n, seed, log_y_min):
+    """Points a distance 10^log_y_min..1e-2 off the jump set in y."""
+    rng = np.random.default_rng(seed)
+    z = rng.choice([0.0, 0.7], n)
+    left, right = jump_interval(p, z)
+    x = rng.uniform(left, right)
+    y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(log_y_min, -2.0, n)
+    return np.stack([x, y, z], axis=1)
+
+
+@pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
+def test_alpha_beta_near_jump_set(ecc):
+    # alpha^2 = t1 + t2 cancels here; the stable root keeps both parts
+    pp = PhysParams(ecc=ecc)
+    pts = _near_jump_set_points(pp, 2000, seed=31, log_y_min=-12.0)
+    al, be = alpha_beta(pp, pts)
+    w = drift_root(pp, pts, warn_branch=False)
+    np.testing.assert_allclose(al + 1j * be, w, rtol=1e-10, atol=0)
+
+
 def test_branch_point_warning(p):
     left, _ = jump_interval(p, 0.0)
     with pytest.warns(BranchPointWarning):
@@ -206,6 +226,22 @@ def test_drift_equals_velocity_parts(p):
     pts = random_points(200, seed=13)
     z = complex_velocity(p, pts)
     np.testing.assert_allclose(drift(p, pts), z.real - z.imag, atol=1e-10)
+
+
+@pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
+def test_drift_equals_velocity_parts_near_jump_set(ecc):
+    pp = PhysParams(ecc=ecc)
+    pts = _near_jump_set_points(pp, 2000, seed=37, log_y_min=-8.0)
+    z = complex_velocity(pp, pts)
+    np.testing.assert_allclose(drift(pp, pts), z.real - z.imag, rtol=0,
+                               atol=1e-12)
+
+
+def test_drift_focal_ray_raises(p):
+    z = 1.0
+    x = p.ecc * z / math.sqrt(1 - p.ecc ** 2)
+    with pytest.raises(SingularPointError):
+        drift(p, [x, 0.0, z])
 
 
 def test_drift_kepler_speed_and_tangency(p):

@@ -200,10 +200,12 @@ def test_areal_velocity_deterministic(p):
     assert np.mean(av) == pytest.approx(L / 2, rel=0.01)
 
 
-def test_deterministic_orbit_period(p):
-    period, _ = deterministic_orbit(p, dt=1e-5, n_periods=2)
-    assert period == pytest.approx(2 * math.pi * math.sqrt(p.a ** 3 / p.mu),
-                                   rel=1e-3)
+def test_deterministic_orbit_period():
+    for ecc in (0.1, 0.5, 0.9):
+        pp = PhysParams(lam=1.3, mu=0.7, ecc=ecc)
+        period, t_end = deterministic_orbit(pp, n_periods=2)
+        assert period == pytest.approx(pp.orbital_period, rel=1e-9)
+        assert t_end == pytest.approx(2 * period)
 
 
 def test_orbital_period_from_records(p):

@@ -130,6 +130,24 @@ def test_model_gap_positive_resolved(model_gen):
     assert abs(res.eigenvalue.imag) > res.gap
 
 
+def test_gap_singular_shift_not_reported_converged(model_gen, monkeypatch):
+    # a complex shifted LU that raises ends the polish; only the final
+    # residual may then declare convergence
+    import scipy.sparse.linalg as spla
+    real_splu = spla.splu
+
+    def splu(M, *args, **kwargs):
+        if np.iscomplexobj(M.data):
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    _, G = model_gen
+    res = gap_from_matrix(G, krylov_m=8, tol=0.0)
+    assert res.residual > 1e-8
+    assert not res.converged
+
+
 def test_model_gap_grid_independence():
     p = PhysParams(ecc=0.5, eps=0.3)
     g1 = gap_from_matrix(build_generator(p, production_grid_2d(p, n=120))).gap
