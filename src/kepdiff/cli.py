@@ -31,7 +31,7 @@ _KEYS = {
     "sim": {"dt", "n_steps", "n_paths", "seed", "x0", "drift_cap",
             "record_stride"},
     "grid": {"dim", "box", "n", "excluded"},
-    "spectral": {"C", "krylov_m", "n_eigs"},
+    "spectral": {"C"},
     "output": {"dir", "prefix"},
 }
 

@@ -4,10 +4,13 @@ The generator G = (eps^2/2) Lap + b . grad is discretised on a bounded
 grid with an excluded origin ball: central second differences for the
 diffusion part and first-order upwind differences for the drift, which
 makes the matrix the generator of a Markov jump chain (all off-diagonal
-rates nonnegative, zero interior row sums).  The spectral gap is then
-estimated two independent ways: from the matrix (deflated Arnoldi on the
-inverted generator plus Rayleigh-quotient refinement) and from the decay
-of stationary autocovariances of simulated ensembles.
+rates nonnegative, zero interior row sums).  Each generator is factorised
+once: an LU of the matrix with one row pinned to the identity row gives
+the stationary law from a single transposed solve and the inverse
+generator for ARPACK's implicitly restarted Arnoldi.  The spectral gap is
+estimated two independent ways: from the matrix (the slow eigenvalues of
+that deflated inverse) and from the decay of stationary autocovariances
+of simulated ensembles.
 
 The module also carries the numeric checks used around the gap argument:
 the Dirichlet-form identity, the adjoint (stationarity) residual of the
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +36,15 @@ from .params import (ConfigError, ConvergenceError, PhysParams,
                      ResolutionError, SingularPointError)
 from .sde import TrajectoryEnsemble
 from .specfun import log_wave
+
+
+#: Stationary-vector check: pi residual |pi Q|_1 bound relative to
+#: max|Q_ii|, and the roundoff floor for negative entries relative to max pi.
+PI_TOL = 1e-12
+#: Slow eigenvalues ARPACK resolves, its Krylov dimension and its tolerance.
+N_EIGS = 6
+ARPACK_NCV = 40
+ARPACK_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +163,32 @@ class GeneratorMatrix:
     def n_nodes(self):
         return self.matrix.shape[0]
 
+    @property
+    def pin(self):
+        """Node whose row the pinned factorisation replaces (weight mode)."""
+        return int(np.argmax(self.weight))
+
+    @cached_property
+    def pinned_lu(self):
+        """SuperLU factor of the matrix with row ``pin`` set to e_pin^T.
+
+        The pinned matrix is nonsingular exactly when the chain is
+        irreducible; a singular one raises ConvergenceError.  Computed
+        once and shared by ``stationary_vector`` and ``gap_from_matrix``.
+        """
+        C, pin = self.matrix.tocoo(), self.pin
+        keep = C.row != pin
+        rows = np.concatenate([C.row[keep], [pin]])
+        cols = np.concatenate([C.col[keep], [pin]])
+        vals = np.concatenate([C.data[keep], [1.0]])
+        M = sp.csc_matrix((vals, (rows, cols)), shape=C.shape)
+        try:
+            return spla.splu(M)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise ConvergenceError(
+                "generator is reducible: the active nodes are disconnected, "
+                "so the stationary law is not unique") from exc
+
 
 def _model_drift_nd(p: PhysParams, nodes, dim):
     x = nodes[:, 0]
@@ -260,26 +299,27 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
 # eigen machinery
 # ---------------------------------------------------------------------------
 
-def stationary_vector(G: GeneratorMatrix, tol=1e-12, max_iter=50):
+def stationary_vector(G: GeneratorMatrix):
     """Left null vector of the generator (the chain's stationary law).
 
-    Shifted inverse iteration on the transpose, started from the analytic
-    weight.  Returns the probability vector and its residual |pi Q|_1.
+    With M the pinned matrix (row ``pin`` of Q replaced by the identity
+    row), M^T pi = pi_pin (e_pin - Q[pin, :]^T), so one transposed solve
+    on ``G.pinned_lu`` gives pi exactly, up to normalisation.  Returns the
+    probability vector and its residual |pi Q|_1.  Raises
+    ConvergenceError when pi has a negative entry beyond roundoff or its
+    residual exceeds PI_TOL * max|Q_ii|.
     """
-    Q = G.matrix
-    N = Q.shape[0]
-    scale = float(np.abs(Q.diagonal()).max())
-    shift = 1e-10 * scale
-    lu = spla.splu((Q.T - shift * sp.identity(N, format="csr")).tocsc())
-    pi = G.weight.copy() + 1e-12
-    resid = np.inf
-    for _ in range(max_iter):
-        pi = lu.solve(pi)
-        pi = np.abs(pi)
-        pi /= pi.sum()
-        resid = float(np.abs(Q.T @ pi).sum())
-        if resid < tol:
-            break
+    Q, pin = G.matrix, G.pin
+    rhs = -Q[pin].toarray().ravel()
+    rhs[pin] += 1.0
+    pi = G.pinned_lu.solve(rhs, trans="T")
+    pi /= pi.sum()
+    resid = float(np.abs(Q.T @ pi).sum())
+    bound = PI_TOL * float(np.abs(Q.diagonal()).max())
+    if pi.min() < -PI_TOL * pi.max() or not resid <= bound:
+        raise ConvergenceError(
+            f"stationary vector failed its check: min entry {pi.min():.3g}, "
+            f"residual {resid:.3g} (bound {bound:.3g})")
     return pi, resid
 
 
@@ -304,111 +344,62 @@ class GapResult:
                 "converged": self.converged}
 
 
-def _pinned_lu(Q, pin):
-    """LU of Q with row ``pin`` replaced by the identity row."""
-    C = Q.tocoo()
-    keep = C.row != pin
-    rows = np.concatenate([C.row[keep], [pin]])
-    cols = np.concatenate([C.col[keep], [pin]])
-    vals = np.concatenate([C.data[keep], [1.0]])
-    M = sp.csc_matrix((vals, (rows, cols)), shape=Q.shape)
-    return spla.splu(M)
-
-
-def gap_from_matrix(G: GeneratorMatrix, n_eigs=6, krylov_m=80,
-                    refine_iters=8, tol=1e-10) -> GapResult:
+def gap_from_matrix(G: GeneratorMatrix) -> GapResult:
     """Spectral gap of -G: smallest real part over the nonzero spectrum.
 
     The known null direction (constants) is deflated by projecting along
-    the stationary vector; Arnoldi on the inverted generator then finds
-    the slow cluster, and the gap eigenpair is polished by shifted
-    inverse (Rayleigh-quotient) iteration.  Slow eigenvalues come in
-    complex pairs when the slow mode rotates around the ellipse; the gap
-    is the smallest positive Re(-lambda).
+    the stationary vector, and solves on ``G.pinned_lu`` apply the
+    inverse generator on the complement.  ARPACK's implicitly restarted
+    Arnoldi (``scipy.sparse.linalg.eigs``, fixed start vector) finds the
+    N_EIGS largest-magnitude eigenvalues of that inverse, i.e. the slow
+    cluster.  Slow eigenvalues come in complex pairs when the slow mode
+    rotates around the ellipse; the gap is the smallest positive
+    Re(-lambda), and ``converged`` means its eigenpair residual is below
+    1e-8.  Raises ConvergenceError when ARPACK does not converge.
     """
     Q = G.matrix
     N = Q.shape[0]
     pi, pi_resid = stationary_vector(G)
-    pin = int(np.argmax(G.weight))
-    lu = _pinned_lu(Q, pin)
-    one = np.ones(N)
+    lu, pin = G.pinned_lu, G.pin
 
     def proj(x):
-        return x - (pi @ x) * one
+        return x - pi @ x
 
     def apply_inv(x):
-        y = proj(np.asarray(x, dtype=float))
+        y = proj(x)
         y[pin] = 0.0
         return proj(lu.solve(y))
 
-    m = min(krylov_m, N - 2)
-    rng = np.random.default_rng(0)
-    V = np.zeros((N, m + 1))
-    H = np.zeros((m + 1, m))
-    b0 = proj(rng.standard_normal(N))
-    V[:, 0] = b0 / np.linalg.norm(b0)
-    m_eff = m
-    for j in range(m):
-        wv = apply_inv(V[:, j])
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            coef = V[:, :j + 1].T @ wv
-            H[:j + 1, j] += coef
-            wv -= V[:, :j + 1] @ coef
-        H[j + 1, j] = np.linalg.norm(wv)
-        if H[j + 1, j] < 1e-13:
-            m_eff = j + 1
-            break
-        V[:, j + 1] = wv / H[j + 1, j]
-    Hm = H[:m_eff, :m_eff]
-    theta, S = np.linalg.eig(Hm)
-    good = np.abs(theta) > 1e-13
-    lams = 1.0 / theta[good]
-    vecs = V[:, :m_eff] @ S[:, good]
-    order = np.argsort(np.abs(lams))
-    lams, vecs = lams[order], vecs[:, order]
-    lams, vecs = lams[:n_eigs], vecs[:, :n_eigs]
+    op = spla.LinearOperator((N, N), matvec=apply_inv, dtype=float)
+    v0 = proj(np.random.default_rng(0).standard_normal(N))
+    try:
+        theta, vecs = spla.eigs(op, k=min(N_EIGS, N - 2), which="LM", v0=v0,
+                                ncv=min(ARPACK_NCV, N), tol=ARPACK_TOL)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"ARPACK did not converge on the slow spectrum: {exc}") from exc
+    lams = 1.0 / theta
+    lams_srt = sorted(lams.tolist(), key=lambda l: -l.real)
 
     # gap candidate: smallest positive real part of -lambda
     re = -lams.real
     cand = np.where(re > 1e-12)[0]
     if cand.size == 0:
         return GapResult(math.nan, complex(math.nan), np.zeros(N), math.inf,
-                         math.inf, sorted(lams.tolist(), key=lambda l: -l.real),
-                         pi_resid, False)
+                         math.inf, lams_srt, pi_resid, False)
     kbest = cand[np.argmin(re[cand])]
     lam = complex(lams[kbest])
-    vec = vecs[:, kbest].astype(complex)
-
-    # Rayleigh-quotient polish with complex shifted solves
-    converged = False
-    resid = math.inf
-    for _ in range(refine_iters):
-        vec = vec - (pi @ vec) * one
-        vec /= np.linalg.norm(vec)
-        r = Q @ vec - lam * vec
-        resid = float(np.linalg.norm(r))
-        if resid < tol:
-            converged = True
-            break
-        M = (Q - lam * sp.identity(N, format="csr")).tocsc().astype(complex)
-        try:
-            vec = spla.splu(M).solve(vec)
-        except RuntimeError:  # singular shift; the final residual decides
-            break
-        vec /= np.linalg.norm(vec)
-        lam = complex(np.vdot(vec, Q @ vec))
-    vec = vec - (pi @ vec) * one
+    vec = proj(vecs[:, kbest])
     vec /= np.linalg.norm(vec)
     r = Q @ vec - lam * vec
     resid = float(np.linalg.norm(r))
     wsq = G.weight
     nw = math.sqrt(float(np.sum(wsq * np.abs(vec) ** 2)))
     resid_w = math.sqrt(float(np.sum(wsq * np.abs(r) ** 2))) / max(nw, 1e-300)
-    lams_srt = sorted(lams.tolist(), key=lambda l: -l.real)
     return GapResult(gap=float(-lam.real), eigenvalue=lam, eigenvector=vec,
                      residual=resid, residual_weighted=resid_w,
                      eigenvalues=lams_srt, pi_residual=pi_resid,
-                     converged=converged or resid < 1e-8)
+                     converged=resid < 1e-8)
 
 
 def adjoint_residual(G: GeneratorMatrix):

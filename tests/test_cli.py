@@ -64,6 +64,17 @@ def test_unknown_section_key_rejected(capsys, tmp_path):
     assert code == 2
 
 
+def test_spectral_solver_keys_rejected(capsys, tmp_path):
+    # the gap solver takes no tuning options, so the config has no keys
+    # for them
+    cfg = tmp_path / "krylov.json"
+    write_json(cfg, {"spectral": {"krylov_m": 40}})
+    code, _, err = run(capsys, "field", "--config", str(cfg),
+                       "--point", "0.5,0,0")
+    assert code == 2
+    assert "krylov_m" in err
+
+
 def test_simulate_requires_seed(capsys, tmp_path):
     cfg = tmp_path / "sim.json"
     write_json(cfg, {"sim": {"dt": 1e-3, "n_steps": 100, "n_paths": 2}})

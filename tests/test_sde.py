@@ -98,6 +98,22 @@ def test_determinism_bit_identical(p):
     np.testing.assert_array_equal(a.v, b.v)
 
 
+@pytest.mark.parametrize("k", [1, 5, 8])
+def test_paths_independent_of_batching(p, k):
+    # path i's stream depends only on [seed, i] and its start point, so
+    # the first k paths of a 13-path run equal a k-path run bit for bit;
+    # the low drift cap makes cap rejections occur on every path
+    def run(n):
+        return simulate_ensemble(small_cfg(p, n_paths=n, x0=[-0.3, 1e-3, 0.0],
+                                           drift_cap=3.0))
+    full, part = run(13), run(k)
+    assert np.all(full.cap_rejections > 0)
+    for name in ("pos", "u", "v", "dist_sigma", "truncate_step",
+                 "cap_rejections"):
+        np.testing.assert_array_equal(getattr(full, name)[:k],
+                                      getattr(part, name))
+
+
 def test_seed_changes_output(p):
     a = simulate_ensemble(small_cfg(p))
     b = simulate_ensemble(small_cfg(p, seed=8))

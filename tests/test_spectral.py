@@ -78,7 +78,7 @@ def test_three_dimensional_build_supported():
     assert G.offdiag_min >= 0.0
     assert G.row_sum_max < 1e-12
     assert G.nodes.shape[1] == 3
-    res = gap_from_matrix(G, krylov_m=40)
+    res = gap_from_matrix(G)
     assert res.gap > 0
 
 
@@ -130,22 +130,86 @@ def test_model_gap_positive_resolved(model_gen):
     assert abs(res.eigenvalue.imag) > res.gap
 
 
-def test_gap_singular_shift_not_reported_converged(model_gen, monkeypatch):
-    # a complex shifted LU that raises ends the polish; only the final
-    # residual may then declare convergence
+def test_gap_perturbed_eigenvector_not_converged(model_gen, monkeypatch):
+    # only the final eigenpair residual may declare convergence
     import scipy.sparse.linalg as spla
-    real_splu = spla.splu
+    real_eigs = spla.eigs
 
-    def splu(M, *args, **kwargs):
-        if np.iscomplexobj(M.data):
-            raise RuntimeError("Factor is exactly singular")
-        return real_splu(M, *args, **kwargs)
+    def eigs(*args, **kwargs):
+        theta, vecs = real_eigs(*args, **kwargs)
+        rng = np.random.default_rng(1)
+        return theta, vecs + 1e-3 * rng.standard_normal(vecs.shape)
 
-    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(spla, "eigs", eigs)
     _, G = model_gen
-    res = gap_from_matrix(G, krylov_m=8, tol=0.0)
+    res = gap_from_matrix(G)
     assert res.residual > 1e-8
     assert not res.converged
+
+
+def test_gap_arpack_no_convergence_raises(model_gen, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def eigs(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]),
+                                       np.zeros((1, 0)))
+
+    monkeypatch.setattr(spla, "eigs", eigs)
+    _, G = model_gen
+    with pytest.raises(ConvergenceError):
+        gap_from_matrix(G)
+
+
+def test_gap_one_factorisation(monkeypatch):
+    import scipy.sparse.linalg as spla
+    real_splu = spla.splu
+    calls = []
+
+    def splu(*args, **kwargs):
+        calls.append(1)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    p = PhysParams(ecc=0.5, eps=0.3)
+    res = gap_from_matrix(build_generator(p, production_grid_2d(p, n=80)))
+    assert res.converged
+    assert len(calls) == 1
+
+
+def test_gap_repeatable(model_gen):
+    _, G = model_gen
+    a, b = gap_from_matrix(G), gap_from_matrix(G)
+    assert a.gap == b.gap
+    assert a.eigenvalues == b.eigenvalues
+
+
+def test_reducible_generator_raises():
+    # the excluded ball cuts the 1-d box into two disconnected halves
+    G = build_generator(PhysParams(eps=0.2),
+                        GridSpec(dim=1, box=((-1.0, 1.0),), n=200,
+                                 excluded=0.5),
+                        drift_fn=None, weight_fn=None, check_resolution=False)
+    with pytest.raises(ConvergenceError, match="disconnected"):
+        stationary_vector(G)
+    with pytest.raises(ConvergenceError, match="disconnected"):
+        gap_from_matrix(G)
+
+
+def test_stationary_vector_sign_checked():
+    # a sign-changing solve is reported, not folded back by |.|
+    p = PhysParams(ecc=0.5, eps=0.3)
+    G = build_generator(p, production_grid_2d(p, n=80))
+    lu = G.pinned_lu
+
+    class FlippedLU:
+        def solve(self, b, trans="N"):
+            x = lu.solve(b, trans=trans)
+            x[G.pin] *= -1.0
+            return x
+
+    G.pinned_lu = FlippedLU()
+    with pytest.raises(ConvergenceError):
+        stationary_vector(G)
 
 
 def test_model_gap_grid_independence():
