@@ -6,16 +6,15 @@ and spectral-gap estimation for the generator.
 """
 
 from .params import (BranchPointWarning, ConfigError, ConvergenceError,
-                     DEFAULT_PARAMS, InsufficientSamplesError, KepdiffError,
-                     NodeError, PhysParams, ResolutionError,
-                     SingularPointError)
+                     InsufficientSamplesError, KepdiffError, NodeError,
+                     PhysParams, ResolutionError, SingularPointError)
 from .fields import (EllipticCoords, FieldSample, alpha_beta,
                      complex_velocity, drift, drift_root, ellipse_point,
                      ellipse_tangent, from_elliptic, in_jump_set,
                      jump_distance, jump_distance_many, jump_interval,
                      kepler_speed, nodal_coordinate, to_elliptic,
                      wave_gradients)
-from .specfun import (PolyEval, complex_velocity_finite, elliptic_e, hermite,
+from .specfun import (PolyEval, complex_velocity_finite, hermite,
                       hermite_ratio, laguerre, laguerre_ratio, log_amplitude,
                       log_wave)
 from .measure import (EllipseDensity, EmpiricalMarginal, GAUSS_WIDTH_FACTOR,

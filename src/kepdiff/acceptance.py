@@ -73,8 +73,7 @@ def identity_residuals(p: PhysParams, n=10_000):
     pts = _sample_box(p, n)
     z = fields.complex_velocity(p, pts)
     r = np.linalg.norm(pts, axis=1)
-    level = p.mu ** 2 / (2 * p.lam ** 2)
-    en = np.abs(0.5 * np.sum(z * z, axis=1) - p.mu / r + level) / level
+    en = np.abs(0.5 * np.sum(z * z, axis=1) - p.mu / r - p.energy) / -p.energy
     gr, gs = fields.wave_gradients(p, pts)
     dot = np.abs(np.sum(gr * gs, axis=1))
     mags = np.linalg.norm(gr, axis=1) * np.linalg.norm(gs, axis=1)

@@ -6,7 +6,8 @@ spectral, output}; command-line flags override file values, and every
 artifact embeds the fully resolved configuration.  Stochastic commands
 require an explicit --seed (no wall-clock seeding anywhere).
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(malformed input, or too few samples for the requested statistic),
 3 domain or singularity error, 4 I/O error.
 """
 
@@ -22,8 +23,9 @@ import numpy as np
 
 from . import acceptance, fields, measure, sde, spectral
 from .io import read_json, write_csv, write_json
-from .params import (ConfigError, ConvergenceError, NodeError,
-                     PhysParams, ResolutionError, SingularPointError)
+from .params import (ConfigError, ConvergenceError, InsufficientSamplesError,
+                     NodeError, PhysParams, ResolutionError,
+                     SingularPointError)
 
 _SECTIONS = {"params", "sim", "grid", "spectral", "output"}
 _KEYS = {
@@ -100,11 +102,18 @@ def _out_dir(cfg, args):
     return d, sec.get("prefix", "")
 
 
-def _parse_point(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--point wants 'x,y,z', got {text!r}")
-    return np.array([float(v) for v in parts])
+def _parse_floats(flag, text, count):
+    """The flag's comma-separated finite numbers, exactly count of them
+    unless count is None; ConfigError when malformed."""
+    try:
+        vals = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        vals = None
+    if vals is None or not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{flag} wants finite numbers, got {text!r}")
+    if count is not None and vals.size != count:
+        raise ConfigError(f"{flag} wants {count} numbers, got {text!r}")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +134,7 @@ def cmd_field(args):
     if args.grid:
         if not args.box:
             raise ConfigError("--grid needs --box x0,x1,y0,y1")
-        x0, x1, y0, y1 = (float(v) for v in args.box.split(","))
+        x0, x1, y0, y1 = _parse_floats("--box", args.box, 4)
         n = args.grid
         xs = np.linspace(x0, x1, n)
         ys = np.linspace(y0, y1, n)
@@ -147,7 +156,7 @@ def cmd_field(args):
         return 0
     if args.point is None:
         raise ConfigError("field wants --point, --grid or --check-identities")
-    pt = _parse_point(args.point)
+    pt = _parse_floats("--point", args.point, 3)
     sample = fields.FieldSample.at(p, pt)
     print(json.dumps({"config": p.as_dict(), "point": pt.tolist(),
                       **sample.as_dict()}, sort_keys=True))
@@ -222,7 +231,7 @@ def cmd_measure(args):
     if args.marginal:
         if args.seed is None:
             raise ConfigError("--marginal requires --seed")
-        samples = int(float(args.samples))
+        samples = int(_parse_floats("--samples", args.samples, 1)[0])
         n_paths = 64
         stride = 12
         burn = 24.0
@@ -265,7 +274,7 @@ def cmd_spectral(args):
         else:
             scfg = spectral.SpectralConfig.from_measurement(p)
         if args.radii:
-            radii = np.array([float(v) for v in args.radii.split(",")])
+            radii = _parse_floats("--radii", args.radii, None)
         else:
             radii = np.geomspace(0.1, 100.0, 25) * p.a
         scan = spectral.osmotic_radial_scan(p, scfg, radii)
@@ -393,7 +402,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InsufficientSamplesError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SingularPointError, NodeError, ResolutionError,

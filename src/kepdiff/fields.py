@@ -27,12 +27,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
+from scipy.spatial import cKDTree
 
 from .params import BranchPointWarning, PhysParams, SingularPointError
 
 #: Points closer to the origin than this multiple of the semimajor axis
 #: are treated as singular (the drift blows up at |x| = 0).
 ORIGIN_TOL = 1e-12
+
+#: Polyline points per jump-set boundary curve in :func:`jump_distance_many`.
+JUMP_MESH = 2048
+
+#: Coarse samples per boundary curve in the scalar :func:`jump_distance`.
+JUMP_COARSE = 4001
 
 
 def as_points(pt):
@@ -281,44 +289,35 @@ def near_jump_set(p: PhysParams, pts, tol):
     return (np.abs(y) <= tol) & in_jump_set(p, x, z, pad=pad)
 
 
-def _plane_boundary_distance(p: PhysParams, x, z, n_coarse=4001):
-    """Planar distance from (x, z) to the jump-set boundary curves."""
+def _plane_boundary_distance(p: PhysParams, x, z):
+    """Planar distance from (x, z) to the jump-set boundary curves.
+
+    A coarse scan of both curves, then Brent's bounded minimiser on each
+    curve between the coarse minimum's neighbours.
+    """
     x = float(x)
     z = float(z)
     span = max(4 * p.a, 2 * abs(z) + 4 * p.a)
-    zs = np.linspace(z - span, z + span, n_coarse)
+    zs = np.linspace(z - span, z + span, JUMP_COARSE)
     left, right = jump_interval(p, zs)
     d2 = np.minimum((x - left) ** 2 + (z - zs) ** 2,
                     (x - right) ** 2 + (z - zs) ** 2)
     k = int(np.argmin(d2))
-    # golden-section polish on each curve around the coarse minimum
-    best = np.sqrt(d2[k])
-    for curve in (lambda t: jump_interval(p, t)[0],
-                  lambda t: jump_interval(p, t)[1]):
-        lo = zs[max(k - 2, 0)]
-        hi = zs[min(k + 2, n_coarse - 1)]
-        invphi = (np.sqrt(5.0) - 1) / 2
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        for _ in range(90):
-            fc = (x - curve(c)) ** 2 + (z - c) ** 2
-            fd = (x - curve(d)) ** 2 + (z - d) ** 2
-            if fc < fd:
-                hi = d
-            else:
-                lo = c
-            c = hi - invphi * (hi - lo)
-            d = lo + invphi * (hi - lo)
-        t = 0.5 * (lo + hi)
-        best = min(best, np.hypot(x - curve(t), z - t))
-    return best
+    bounds = (zs[max(k - 2, 0)], zs[min(k + 2, JUMP_COARSE - 1)])
+    best = d2[k]
+    for side in (0, 1):
+        res = minimize_scalar(
+            lambda t: (x - jump_interval(p, t)[side]) ** 2 + (z - t) ** 2,
+            bounds=bounds, method="bounded", options={"xatol": 1e-12})
+        best = min(best, res.fun)
+    return float(np.sqrt(best))
 
 
 def jump_distance(p: PhysParams, pt):
     """Euclidean distance from a point to (the closure of) the jump set.
 
-    Zero inside the set.  Used by the simulator's diagnostics and by the
-    identity suite to carve exclusion tubes around the discontinuity.
+    Zero inside the set.  A single (3,) point gets the high-accuracy
+    scalar search; an array of points goes to :func:`jump_distance_many`.
     """
     pt = as_points(pt)
     if pt.ndim == 1:
@@ -329,31 +328,24 @@ def jump_distance(p: PhysParams, pt):
     return jump_distance_many(p, pt)
 
 
-def jump_distance_many(p: PhysParams, pts, n_mesh=2048):
+def jump_distance_many(p: PhysParams, pts):
     """Vectorised jump-set distance via a boundary polyline.
 
-    Accuracy is set by the polyline resolution (plenty for diagnostics;
-    use :func:`jump_distance` for scalar high-accuracy queries).
-    Points are processed in chunks to bound the distance-matrix memory.
+    The planar part is the distance to the nearest vertex of a
+    JUMP_MESH-point polyline along each boundary curve, found with a
+    k-d tree.  Accuracy is set by the polyline resolution (plenty for
+    diagnostics; use :func:`jump_distance` for scalar high-accuracy
+    queries).
     """
     pts = as_points(pts)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    inside = in_jump_set(p, x, z)
     zmax = max(2.0 * float(np.max(np.abs(z), initial=0.0)), 8 * p.a)
-    zs = np.linspace(-zmax, zmax, n_mesh)
+    zs = np.linspace(-zmax, zmax, JUMP_MESH)
     left, right = jump_interval(p, zs)
-    bx = np.concatenate([left, right])
-    bz = np.concatenate([zs, zs])
-    xf = x.ravel()
-    zf = z.ravel()
-    plane2 = np.empty(xf.shape)
-    step = max(1, 2 ** 22 // (2 * n_mesh))
-    for k in range(0, xf.size, step):
-        sl = slice(k, k + step)
-        d2 = (xf[sl, None] - bx) ** 2 + (zf[sl, None] - bz) ** 2
-        plane2[sl] = np.min(d2, axis=-1)
-    plane = np.sqrt(plane2).reshape(x.shape)
-    plane = np.where(inside, 0.0, plane)
+    tree = cKDTree(np.column_stack([np.concatenate([left, right]),
+                                    np.concatenate([zs, zs])]))
+    plane, _ = tree.query(np.column_stack([x.ravel(), z.ravel()]))
+    plane = np.where(in_jump_set(p, x, z), 0.0, plane.reshape(x.shape))
     return np.sqrt(plane * plane + y * y)
 
 

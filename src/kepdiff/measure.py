@@ -22,15 +22,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ellipe
 
 from .fields import as_points, to_elliptic
 from .params import ConfigError, InsufficientSamplesError, PhysParams
 from .quadrature import adaptive_quad
-from .specfun import elliptic_e, log_amplitude
+from .specfun import log_amplitude
 
 #: Ratio of the Gaussian standard deviation of a cross-section to the
 #: effective width eps |R''|^{-1/2}.  Frozen; see module docstring.
 GAUSS_WIDTH_FACTOR = 1.0 / math.sqrt(2.0)
+
+#: Absolute tolerance of the in-repo quadrature behind the ODE form of
+#: T and the ellipse averages.
+QUAD_TOL = 1e-12
+
+#: Eccentric-angle windows of :func:`z_spread_by_angle`, and the fewest
+#: samples a window needs to be reported.
+Z_SPREAD_WINDOWS = 8
+Z_SPREAD_MIN_COUNT = 200
 
 
 def _check_ecc(e):
@@ -54,17 +64,17 @@ def tangential_log_slope(e, v):
     return -2 * e * e * np.sin(2 * v) / (1 + e ** 4 - 2 * e * e * np.cos(2 * v))
 
 
-def tangential_factor_ode(e, v, tol=1e-12):
+def tangential_factor_ode(e, v):
     """T(v) by integrating the log-slope from 0 with T(0) = 1.
 
     Independent of the closed form; matches it to 1e-8 or better.
     """
     _check_ecc(e)
     return math.exp(adaptive_quad(lambda t: float(tangential_log_slope(e, t)),
-                                  0.0, float(v), tol=tol))
+                                  0.0, float(v), tol=QUAD_TOL))
 
 
-def tangential_factor_ode_grid(e, vs, tol=1e-12):
+def tangential_factor_ode_grid(e, vs):
     """ODE-integrated T on an increasing grid (cumulative segments)."""
     _check_ecc(e)
     vs = np.asarray(vs, dtype=float)
@@ -72,11 +82,11 @@ def tangential_factor_ode_grid(e, vs, tol=1e-12):
         raise ConfigError("grid must be non-decreasing")
     out = np.empty_like(vs)
     acc = adaptive_quad(lambda t: float(tangential_log_slope(e, t)),
-                        0.0, float(vs[0]), tol=tol)
+                        0.0, float(vs[0]), tol=QUAD_TOL)
     out[0] = acc
     for k in range(1, len(vs)):
         acc += adaptive_quad(lambda t: float(tangential_log_slope(e, t)),
-                             float(vs[k - 1]), float(vs[k]), tol=tol)
+                             float(vs[k - 1]), float(vs[k]), tol=QUAD_TOL)
         out[k] = acc
     return np.exp(out)
 
@@ -94,12 +104,14 @@ def laplace_weight(e, v):
 
 def laplace_weight_integral(e):
     """Closed form of the full-turn integral of g:
-    2 [(1-e^2) E(-xi_-^2) + (1+e^2) E(xi_+^2)], xi_pm = 2e/(1 pm e^2)."""
+    2 [(1-e^2) E(-xi_-^2) + (1+e^2) E(xi_+^2)], xi_pm = 2e/(1 pm e^2),
+    with E the complete elliptic integral of the second kind in the
+    parameter convention (``scipy.special.ellipe``)."""
     _check_ecc(e)
     xi_m = 2 * e / (1 - e * e)
     xi_p = 2 * e / (1 + e * e)
-    return 2 * ((1 - e * e) * elliptic_e(-xi_m ** 2)
-                + (1 + e * e) * elliptic_e(xi_p ** 2))
+    return 2 * ((1 - e * e) * ellipe(-xi_m ** 2)
+                + (1 + e * e) * ellipe(xi_p ** 2))
 
 
 def ridge_hessian(p: PhysParams, v):
@@ -138,12 +150,12 @@ def cross_section_widths(p: PhysParams, v):
     return sigma_n, sigma_z
 
 
-def ellipse_average(p: PhysParams, f, tol=1e-12):
+def ellipse_average(p: PhysParams, f):
     """Stationary expectation of f(v) on the ellipse in the small-noise
     limit: (1/2 pi) integral f(v) (1 - e cos v) dv."""
     e = p.ecc
     val = adaptive_quad(lambda v: f(v) * (1 - e * math.cos(v)),
-                        0.0, 2 * math.pi, tol=tol)
+                        0.0, 2 * math.pi, tol=QUAD_TOL)
     return val / (2 * math.pi)
 
 
@@ -258,8 +270,7 @@ def empirical_marginal(ens, bins: int, burn_in: float) -> EmpiricalMarginal:
         v, bins, burn_in=burn_in, thinning=ens.record_dt)
 
 
-def z_spread_by_angle(ens, p: PhysParams, burn_in: float, n_windows=8,
-                      min_count=200):
+def z_spread_by_angle(ens, p: PhysParams, burn_in: float):
     """Empirical z standard deviation in eccentric-angle windows.
 
     Returns (window centers, empirical std, predicted Gaussian std).
@@ -269,11 +280,11 @@ def z_spread_by_angle(ens, p: PhysParams, burn_in: float, n_windows=8,
     keep_p = ~ens.truncated
     v = ens.v[np.ix_(keep_p, keep_t)].ravel()
     z = ens.pos[np.ix_(keep_p, keep_t)][..., 2].ravel()
-    edges = np.linspace(0.0, 2 * np.pi, n_windows + 1)
+    edges = np.linspace(0.0, 2 * np.pi, Z_SPREAD_WINDOWS + 1)
     centers, emp, pred = [], [], []
-    for k in range(n_windows):
+    for k in range(Z_SPREAD_WINDOWS):
         sel = (v >= edges[k]) & (v < edges[k + 1])
-        if sel.sum() < min_count:
+        if sel.sum() < Z_SPREAD_MIN_COUNT:
             continue
         c = 0.5 * (edges[k] + edges[k + 1])
         centers.append(c)

@@ -89,13 +89,6 @@ class PhysParams:
 
         return 2 * math.pi * self.lam ** 3 / self.mu ** 2
 
-    def with_eps(self, eps: float) -> "PhysParams":
-        return PhysParams(self.lam, self.mu, self.ecc, eps)
-
     def as_dict(self) -> dict:
         return {"lambda": self.lam, "mu": self.mu, "ecc": self.ecc,
                 "eps": self.eps, "a": self.a}
-
-
-#: Showcase defaults used by the CLI and the experiment scripts.
-DEFAULT_PARAMS = PhysParams(lam=1.0, mu=1.0, ecc=0.5, eps=0.1)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from .params import ConvergenceError
 
+#: Bisection depth at which :func:`adaptive_quad` gives up.
+MAX_DEPTH = 48
+
 
 def _simpson(f, a, fa, b, fb, m, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -32,7 +35,7 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
             + _adapt(f, m, fm, b, fb, rm, frm, right, half, depth - 1))
 
 
-def adaptive_quad(f, a, b, tol=1e-12, max_depth=48):
+def adaptive_quad(f, a, b, tol=1e-12):
     """Integrate a scalar callable on [a, b] to absolute tolerance tol."""
     a = float(a)
     b = float(b)
@@ -42,4 +45,4 @@ def adaptive_quad(f, a, b, tol=1e-12, max_depth=48):
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(f, a, fa, b, fb, m, fm)
-    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, MAX_DEPTH)

@@ -58,12 +58,9 @@ def default_drift_cap(p: PhysParams) -> float:
     """Cap on |b| before a step's drift is rescaled.
 
     10 mu/(lam eps): large enough that only the genuine origin blowup is
-    capped (the drift on physical scales is O(mu/lam)).  For eps = 0 a
-    fixed large multiple is used instead.
+    capped (the drift on physical scales is O(mu/lam)).
     """
-    if p.eps > 0:
-        return 10 * p.mu / (p.lam * p.eps)
-    return 100 * p.mu / p.lam
+    return 10 * p.mu / (p.lam * p.eps)
 
 
 @dataclass
@@ -98,6 +95,8 @@ class SimConfig:
             raise ConfigError(
                 "dt * drift_cap must stay below 0.5 a; a capped step may "
                 f"not jump across the system scale (got {self.dt * self.drift_cap})")
+        if not np.all(np.isfinite(self.start_points())):
+            raise ConfigError("start points must be finite")
 
     def start_points(self) -> np.ndarray:
         if isinstance(self.x0, RingStart):
@@ -196,7 +195,7 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     origin_r = 1e-8 * p.a
 
     X = cfg.start_points().copy()
-    gens = _path_generators(cfg.seed, n_paths) if eps > 0 else None
+    gens = _path_generators(cfg.seed, n_paths)
     active = np.sqrt(np.sum(X * X, axis=1)) >= origin_r
     truncate_step = np.where(active, -1, 0).astype(np.int64)
     cap_rejections = np.zeros(n_paths, dtype=np.int64)
@@ -216,10 +215,9 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     with np.errstate(all="ignore"):
         while k < n_steps:
             chunk = min(_NOISE_CHUNK, n_steps - k)
-            if eps > 0:
-                noise = np.empty((n_paths, chunk, 3))
-                for i, g in enumerate(gens):
-                    noise[i] = g.standard_normal((chunk, 3))
+            noise = np.empty((n_paths, chunk, 3))
+            for i, g in enumerate(gens):
+                noise[i] = g.standard_normal((chunk, 3))
             for j in range(chunk):
                 bx, by, bz = drift_components(p, X[:, 0], X[:, 1], X[:, 2])
                 nb = np.sqrt(bx * bx + by * by + bz * bz)
@@ -231,8 +229,7 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
                     f = np.where(over, cfg.drift_cap / np.where(nb > 0, nb, 1.0), 1.0)
                     bx, by, bz = bx * f, by * f, bz * f
                 Xn = X + np.stack([bx, by, bz], axis=1) * dt
-                if eps > 0:
-                    Xn += eps * sdt * noise[:, j]
+                Xn += eps * sdt * noise[:, j]
                 bad = active & (~np.all(np.isfinite(Xn), axis=1)
                                 | (np.sqrt(np.sum(Xn * Xn, axis=1)) < origin_r))
                 if np.any(bad):
@@ -345,7 +342,7 @@ def kepler_diagnostics(ens: TrajectoryEnsemble, p: PhysParams) -> dict:
     frac_t = conv.mean(axis=0)
     half = ens.times >= 0.5 * ens.times[-1]
     av = areal_velocity(ens)[:, half[1:]]
-    report = {
+    return {
         "n_paths": int(ens.n_paths),
         "t_final": float(ens.times[-1]),
         "fraction_converged_final": float(frac_t[-1]),
@@ -361,9 +358,3 @@ def kepler_diagnostics(ens: TrajectoryEnsemble, p: PhysParams) -> dict:
         "cap_rejections": int(np.sum(ens.cap_rejections)),
         "jump_crossings": int(np.sum(ens.jump_crossings)),
     }
-    if p.eps == 0:
-        try:
-            report["period"] = float(orbital_period(ens))
-        except ConfigError:
-            report["period"] = None
-    return report

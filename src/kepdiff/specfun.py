@@ -1,12 +1,10 @@
-"""Polynomial and elliptic-integral machinery.
+"""Polynomial machinery and the limiting wave function.
 
 Laguerre and Hermite evaluation at complex argument with overflow-safe
 joint rescaling, the scaled Hermite logarithmic ratio whose even-degree
 limit reproduces the drift root, the finite-degree complex velocity used
-for convergence checks against the closed form, the limiting wave
-function in logarithmic form, and the complete elliptic integral of the
-second kind (parameter convention, AGM iteration, negative parameter
-allowed).
+for convergence checks against the closed form, and the limiting wave
+function in logarithmic form.
 """
 
 from __future__ import annotations
@@ -39,11 +37,6 @@ class PolyEval:
     degree: int
     overflow_scaled: bool = False
     exponent: int = 0
-
-    @property
-    def log2_magnitude(self):
-        """log2 |value|, valid even when the true value overflows."""
-        return np.log2(abs(self.value)) + self.exponent
 
     def unscaled(self):
         """(value, derivative) with the exponent applied; may overflow."""
@@ -179,32 +172,3 @@ def log_wave(p: PhysParams, pt):
 def log_amplitude(p: PhysParams, pt):
     """Log-amplitude R of the limiting state (real part of log_wave)."""
     return np.real(log_wave(p, pt))
-
-
-def elliptic_e(m) -> float:
-    """Complete elliptic integral of the second kind, parameter m <= 1.
-
-    E(m) = integral_0^{pi/2} sqrt(1 - m sin^2 t) dt, by the
-    arithmetic-geometric mean iteration.  Negative parameters reduce
-    through E(-q) = sqrt(1+q) E(q/(1+q)).
-    """
-    m = float(m)
-    if m > 1:
-        raise ConfigError(f"elliptic parameter must be <= 1, got {m}")
-    if m == 1.0:
-        return 1.0
-    if m < 0:
-        q = -m
-        return float(np.sqrt(1 + q) * elliptic_e(q / (1 + q)))
-    if m == 0.0:
-        return float(np.pi / 2)
-    a, b = 1.0, float(np.sqrt(1 - m))
-    c2_sum = m / 2  # 2^{-1} c_0^2 with c_0 = sqrt(m)
-    p2 = 1.0
-    for _ in range(64):
-        a, b, c = 0.5 * (a + b), float(np.sqrt(a * b)), 0.5 * (a - b)
-        p2 *= 2
-        c2_sum += p2 * c * c / 2
-        if abs(c) <= 2e-16 * a:  # quadratic convergence stalls at ulp level
-            break
-    return float(np.pi / (2 * a) * (1 - c2_sum))

@@ -45,6 +45,13 @@ PI_TOL = 1e-12
 N_EIGS = 6
 ARPACK_NCV = 40
 ARPACK_TOL = 1e-10
+#: Path-bootstrap resamples behind the autocovariance gap's interval.
+AUTOCORR_N_BOOT = 200
+#: Shells (log-spaced from 2a to 50a) and angles per axis of the mesh
+#: that measures sup |grad ln T|, and the margin C adds on top of it.
+SUP_GRAD_N_R = 12
+SUP_GRAD_N_ANGLES = 64
+SUP_GRAD_MARGIN = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -504,20 +511,20 @@ def _fit_decay(C, dt):
 
 
 def gap_from_autocorrelation(ens: TrajectoryEnsemble, observable=None,
-                             burn_in=None, lag_window=None,
-                             n_boot=200, seed=0) -> AutocorrGap:
+                             burn_in=None) -> AutocorrGap:
     """Relaxation rate from stationary ensemble autocovariances.
 
     observable maps (u, v, pos) -> per-sample values; default cos(v).
-    The ensemble-averaged autocovariance over the lag window is fitted
-    for its exponential decay rate; the error bar is a path bootstrap.
+    The ensemble-averaged autocovariance over the lag window (twelve
+    time units lam^3/mu^2, at most 0.4 of the post-burn-in span) is
+    fitted for its exponential decay rate; the error bar is a path
+    bootstrap with a fixed seed.
     """
     p = ens.config.params
     if burn_in is None:
         burn_in = 0.1 * ens.times[-1]
-    if lag_window is None:
-        lag_window = min(12.0 * p.lam ** 3 / p.mu ** 2,
-                         0.4 * (ens.times[-1] - burn_in))
+    lag_window = min(12.0 * p.lam ** 3 / p.mu ** 2,
+                     0.4 * (ens.times[-1] - burn_in))
     u, v, pos = ens.stationary_samples(burn_in)
     if observable is None:
         obs = np.cos(v)
@@ -532,10 +539,10 @@ def gap_from_autocorrelation(ens: TrajectoryEnsemble, observable=None,
         raise ConvergenceError("constant observable; autocovariance is zero")
     ac = _acov_per_path(obs, n_lags)
     gamma, osc = _fit_decay(ac.mean(axis=0), dt)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     boots = []
     n_paths = ac.shape[0]
-    for _ in range(n_boot):
+    for _ in range(AUTOCORR_N_BOOT):
         pick = rng.integers(0, n_paths, n_paths)
         try:
             g, _ = _fit_decay(ac[pick].mean(axis=0), dt)
@@ -651,13 +658,11 @@ class SpectralConfig:
         return (p.mu - p.eps ** 2 * p.lam * self.C) / (p.eps ** 2 * p.lam)
 
     @classmethod
-    def from_measurement(cls, p: PhysParams, r0=None, margin=0.1, n_r=12,
-                         n_angles=64):
-        """Set C to the measured sup of |grad ln T| outside r0 plus margin."""
-        if r0 is None:
-            r0 = 2 * p.a
-        sup = sup_log_tangential_gradient(p, r0=r0, n_r=n_r, n_angles=n_angles)
-        return cls(params=p, C=sup + margin, r0=r0)
+    def from_measurement(cls, p: PhysParams):
+        """Set C to the measured sup of |grad ln T| outside the default
+        r0 = 2a plus SUP_GRAD_MARGIN."""
+        sup = sup_log_tangential_gradient(p)
+        return cls(params=p, C=sup + SUP_GRAD_MARGIN)
 
 
 def _log_T_hat(p: PhysParams, x, y):
@@ -687,15 +692,11 @@ def _sphere_mesh(r, n_angles):
                      r * np.cos(TH)], axis=-1).reshape(-1, 3)
 
 
-def sup_log_tangential_gradient(p: PhysParams, r0=None, rmax=None, n_r=12,
-                                n_angles=64):
-    if r0 is None:
-        r0 = 2 * p.a
-    if rmax is None:
-        rmax = 50 * p.a
+def sup_log_tangential_gradient(p: PhysParams):
+    """Largest |grad ln T| on spherical shells from 2a to 50a."""
     sup = 0.0
-    for r in np.geomspace(r0, rmax, n_r):
-        pts = _sphere_mesh(r, n_angles)
+    for r in np.geomspace(2 * p.a, 50 * p.a, SUP_GRAD_N_R):
+        pts = _sphere_mesh(r, SUP_GRAD_N_ANGLES)
         g = grad_log_tangential(p, pts)
         sup = max(sup, float(np.max(np.linalg.norm(g, axis=1))))
     return sup
@@ -784,7 +785,7 @@ def _branch_safe(p: PhysParams, pt, h):
     return x < left - 4 * h  # only the far-left part of y = 0 is cut-free
 
 
-def hamiltonian_residual(p: PhysParams, pt, h=None) -> HamiltonianResidual:
+def hamiltonian_residual(p: PhysParams, pt) -> HamiltonianResidual:
     """Residual identity of the similarity-transformed Hamiltonian.
 
     lhs: (1/2)(-eps^4 Lap + eps^2 div b + |b|^2) applied to
@@ -794,15 +795,11 @@ def hamiltonian_residual(p: PhysParams, pt, h=None) -> HamiltonianResidual:
     from closed-form gradients (Laplacian by finite differences).  The
     two agree to O(h^2); the common value quantifies how far the
     limiting state is from an exact stationary one (for which both
-    vanish).  The step is chosen by three-point Richardson consistency
-    when not given.
+    vanish).  The step is chosen by three-point Richardson consistency.
     """
     pt = np.asarray(pt, dtype=float).reshape(3)
     ell = 0.5 * p.eps ** 2 * p.lam / p.mu   # variation scale of log psi~
-    if h is not None:
-        cands = [float(h)]
-    else:
-        cands = list(ell * np.geomspace(0.6, 0.01, 9))
+    cands = ell * np.geomspace(0.6, 0.01, 9)
     # score each step by how closely its halving triple follows the
     # clean O(h^2) signature (successive differences shrinking fourfold);
     # the deviation of that ratio from 4 tracks both the truncation tail

@@ -187,6 +187,19 @@ def test_verify_quick(capsys):
     assert "4/4 criteria passed" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("field", "--grid", "3", "--box", "0,1,2"),
+    ("field", "--point", "1,a,0"),
+    ("spectral", "--scan", "--radii", "1,x"),
+    ("measure", "--marginal", "--samples", "abc", "--seed", "1"),
+    ("measure", "--marginal", "--samples", "100", "--seed", "1"),
+])
+def test_malformed_input_exit_code(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "config error" in err
+
+
 def test_io_error_exit_code(capsys, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

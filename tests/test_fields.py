@@ -9,7 +9,7 @@ from kepdiff import (BranchPointWarning, PhysParams, SingularPointError,
                      ellipse_point, ellipse_tangent, jump_distance,
                      jump_distance_many, jump_interval, in_jump_set,
                      kepler_speed, nodal_coordinate, wave_gradients)
-from kepdiff.fields import FieldSample, near_jump_set
+from kepdiff.fields import JUMP_MESH, FieldSample, near_jump_set
 
 from conftest import random_points
 
@@ -313,6 +313,49 @@ def test_jump_distance_brute_force(p):
     many = jump_distance_many(p, np.array([[0.9, 0.4, 0.3]]))
     assert many[0] == pytest.approx(jump_distance(p, [0.9, 0.4, 0.3]),
                                     abs=1e-3)
+
+
+def _jump_distance_all_pairs(p, pts):
+    """All-pairs nearest-vertex search over the same boundary polyline.
+
+    Oracle for the k-d tree in jump_distance_many: the full (points x
+    vertices) squared-distance matrix, built in chunks of 2**22 entries.
+    """
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    zmax = max(2.0 * float(np.max(np.abs(z), initial=0.0)), 8 * p.a)
+    zs = np.linspace(-zmax, zmax, JUMP_MESH)
+    left, right = jump_interval(p, zs)
+    bx = np.concatenate([left, right])
+    bz = np.concatenate([zs, zs])
+    xf, zf = x.ravel(), z.ravel()
+    plane2 = np.empty(xf.shape)
+    step = 2 ** 22 // bx.size
+    for k in range(0, xf.size, step):
+        sl = slice(k, k + step)
+        d2 = (xf[sl, None] - bx) ** 2 + (zf[sl, None] - bz) ** 2
+        plane2[sl] = np.min(d2, axis=-1)
+    plane = np.where(in_jump_set(p, x, z), 0.0,
+                     np.sqrt(plane2).reshape(x.shape))
+    return np.sqrt(plane * plane + y * y)
+
+
+def test_jump_distance_many_matches_all_pairs(p):
+    rng = np.random.default_rng(41)
+    # more points than one 1024-point chunk of the oracle
+    near = rng.uniform(-4 * p.a, 4 * p.a, (3000, 3))
+    # |z| beyond 4a widens the polyline's z-range
+    wide = rng.uniform(-4 * p.a, 4 * p.a, (500, 3))
+    wide[:, 2] = rng.choice([-1, 1], 500) * rng.uniform(4 * p.a, 30 * p.a, 500)
+    # points in the set (y = 0) and just above it
+    zs = rng.uniform(-6 * p.a, 6 * p.a, 400)
+    left, right = jump_interval(p, zs)
+    xs = left + rng.uniform(0, 1, 400) * (right - left)
+    ys = np.where(np.arange(400) % 2 == 0, 0.0, rng.uniform(-1e-3, 1e-3, 400))
+    inside = np.stack([xs, ys, zs], axis=1)
+    assert np.all(in_jump_set(p, xs, zs))
+    for pts in (near, wide, inside, np.concatenate([near, wide, inside])):
+        np.testing.assert_array_equal(jump_distance_many(p, pts),
+                                      _jump_distance_all_pairs(p, pts))
 
 
 def test_jump_interval_never_empty(p):

@@ -79,6 +79,13 @@ def test_config_step_scale_invariant(p):
         SimConfig(params=p, dt=0.01, drift_cap=100.0)
 
 
+@pytest.mark.parametrize("x0", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
+                                RingStart(math.nan)])
+def test_config_non_finite_start_rejected(p, x0):
+    with pytest.raises(ConfigError):
+        SimConfig(params=p, x0=x0)
+
+
 def test_config_defaults(p):
     cfg = SimConfig(params=p)
     assert cfg.dt == pytest.approx(1e-3)

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from kepdiff import (ConfigError, NodeError, PhysParams,
-                     complex_velocity, complex_velocity_finite, elliptic_e,
+                     complex_velocity, complex_velocity_finite,
                      hermite, hermite_ratio, laguerre, laguerre_ratio,
                      log_amplitude, log_wave, wave_gradients)
 
@@ -202,28 +201,3 @@ def test_log_wave_gradients_match_closed_form(p):
             fd = (log_wave(p, pt + dp) - log_wave(p, pt - dp)) / (2 * h)
             assert fd.real == pytest.approx(gr[k], rel=1e-6, abs=1e-5)
             assert fd.imag == pytest.approx(gs[k], rel=1e-6, abs=1e-5)
-
-
-# ---------------------------------------------------------------------------
-# complete elliptic integral (parameter convention)
-# ---------------------------------------------------------------------------
-
-def _E_quad(m):
-    return quad(lambda t: math.sqrt(1 - m * math.sin(t) ** 2),
-                0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13)[0]
-
-
-def test_elliptic_e_trivial_values():
-    assert elliptic_e(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert elliptic_e(1.0) == 1.0
-
-
-def test_elliptic_e_against_quadrature():
-    assert elliptic_e(0.5) == pytest.approx(1.3506438810476755, abs=1e-12)
-    for m in (0.12, 0.5, 0.64, 0.97, -0.4, -16.0 / 9.0, -9.0):
-        assert elliptic_e(m) == pytest.approx(_E_quad(m), abs=1e-12)
-
-
-def test_elliptic_e_domain_error():
-    with pytest.raises(ConfigError):
-        elliptic_e(1.0001)
