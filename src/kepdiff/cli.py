@@ -241,6 +241,13 @@ def cmd_measure(args):
         sim = sde.SimConfig(params=p, dt=dt, n_steps=n_steps,
                             n_paths=n_paths, seed=args.seed,
                             record_stride=stride, compute_jump_dist=False)
+        # truncated paths can only lower this bound, so it is checked
+        # again on the ensemble
+        most = n_paths * int(np.count_nonzero(sim.record_times() >= burn))
+        if most < measure.MIN_MARGINAL_SAMPLES:
+            raise InsufficientSamplesError(
+                f"--samples {samples} yields at most {most} post-burn-in "
+                f"samples; need >= {measure.MIN_MARGINAL_SAMPLES}")
         ens = sde.simulate_ensemble(sim)
         marg = measure.empirical_marginal(ens, bins=args.bins, burn_in=burn)
         emp = marg.probabilities

@@ -42,6 +42,9 @@ QUAD_TOL = 1e-12
 Z_SPREAD_WINDOWS = 8
 Z_SPREAD_MIN_COUNT = 200
 
+#: Fewest post-burn-in samples :func:`empirical_marginal` accepts.
+MIN_MARGINAL_SAMPLES = 10_000
+
 
 def _check_ecc(e):
     if not 0 < e < 1:
@@ -257,15 +260,16 @@ class EmpiricalMarginal:
 def empirical_marginal(ens, bins: int, burn_in: float) -> EmpiricalMarginal:
     """Angular marginal of an ensemble's post-burn-in samples.
 
-    Truncated paths are excluded.  Requires at least 1e4 post-burn-in
-    samples.
+    Truncated paths are excluded.  Requires at least
+    MIN_MARGINAL_SAMPLES post-burn-in samples.
     """
     keep_t = ens.times >= burn_in
     keep_p = ~ens.truncated
     v = ens.v[np.ix_(keep_p, keep_t)]
-    if v.size < 10_000:
+    if v.size < MIN_MARGINAL_SAMPLES:
         raise InsufficientSamplesError(
-            f"need >= 1e4 post-burn-in samples, have {v.size}")
+            f"need >= {MIN_MARGINAL_SAMPLES} post-burn-in samples, "
+            f"have {v.size}")
     return EmpiricalMarginal.from_samples(
         v, bins, burn_in=burn_in, thinning=ens.record_dt)
 

@@ -6,8 +6,17 @@ nothing here.  The drift and the recorded (u, v) coordinates come from
 the unchecked kernels :func:`fields.drift_components` and
 :func:`fields.elliptic_uv`; the zero-noise orbit integrates the same
 drift with an adaptive ODE solver.  Paths that fall into the origin
-ball are truncated (kept frozen and flagged), never aborted, and
-excluded from stationary statistics.
+ball, or whose step leaves the finite numbers, are truncated (kept
+frozen and flagged), never aborted, and excluded from stationary
+statistics.
+
+The ensemble step loop vectorises across paths and is bound by the
+number of numpy calls per step, not by arithmetic: the state is one
+contiguous array per coordinate, every update writes into a
+preallocated buffer, the noise is scaled by eps sqrt(dt) once per chunk
+of steps, and the masks for truncated paths only run after a path has
+truncated.  None of this changes the arithmetic, so the output is the
+same bit for bit as a plain (n_paths, 3) implementation.
 
 Reproducibility: noise comes from one Philox4x64-10 bit generator per
 path, keyed by (seed, path_index).  A path's noise is its generator's
@@ -35,6 +44,11 @@ CONV_U_TOL = 0.15
 CONV_Z_TOL = 0.2
 
 _NOISE_CHUNK = 2048
+
+#: Capped steps stop adding to ``TrajectoryEnsemble.cap_reject_points``
+#: once it holds this many points (the step that crosses the limit
+#: still adds all of its points).
+MAX_CAP_REJECT_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,10 @@ class SimConfig:
         pt = np.asarray(self.x0, dtype=float).reshape(3)
         return np.tile(pt, (self.n_paths, 1))
 
+    def record_times(self) -> np.ndarray:
+        """Times of the recorded states: every record_stride-th step."""
+        return np.arange(0, self.n_steps + 1, self.record_stride) * self.dt
+
     def as_dict(self) -> dict:
         x0 = self.x0.as_dict() if isinstance(self.x0, RingStart) \
             else list(map(float, np.asarray(self.x0).reshape(3)))
@@ -119,7 +137,10 @@ class TrajectoryEnsemble:
 
     pos has shape (n_paths, n_rec, 3); u, v and dist_sigma align with it.
     Truncated paths stay frozen at their last valid position from the
-    truncation step onward.
+    truncation step onward.  cap_reject_points holds the pre-step
+    positions of capped steps, whole steps at a time, and stops growing
+    after the step that brings it to MAX_CAP_REJECT_POINTS (10,000);
+    cap_rejections counts every capped step.
     """
 
     config: SimConfig
@@ -187,78 +208,121 @@ def _path_generators(seed, n_paths):
 
 
 def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
-    """Run the full ensemble; bit-identical output for identical cfg."""
+    """Run the full ensemble; bit-identical output for identical cfg.
+
+    The state is a (3, n_paths) array, one contiguous row per
+    coordinate.  Each step writes the drift from
+    :func:`fields.drift_components` at every lane into a second such
+    buffer, turns it into the candidate in place and copies the result
+    back into the state.  Where |b| = sqrt((b_x^2 + b_y^2) + b_z^2)
+    exceeds drift_cap on an active lane, that lane's drift is rescaled
+    by drift_cap / |b| and the step counts as a cap rejection.  The
+    candidate is x + b dt plus the noise, which is scaled by
+    eps sqrt(dt) once per chunk of _NOISE_CHUNK steps.  An active lane
+    truncates at the first step whose candidate has a non-finite
+    coordinate or sqrt((x^2 + y^2) + z^2) < 1e-8 a; finite coordinates
+    whose squares overflow do not truncate.  After the first
+    truncation, inactive lanes keep their position and are left out of
+    the cap and crossing counts.  A jump crossing is a sign change of y
+    whose midpoint (x, 0, z) lies in the jump set.
+    """
     p = cfg.params
-    dt, eps = cfg.dt, p.eps
-    sdt = math.sqrt(dt)
+    dt, cap = cfg.dt, cfg.drift_cap
     n_paths, n_steps = cfg.n_paths, cfg.n_steps
     origin_r = 1e-8 * p.a
 
-    X = cfg.start_points().copy()
+    X0 = cfg.start_points()
+    S = X0.T.copy()             # the state, one row per coordinate
+    Sn = np.empty_like(S)       # the step's drift, then its candidate
+    x, y, z = S
     gens = _path_generators(cfg.seed, n_paths)
-    active = np.sqrt(np.sum(X * X, axis=1)) >= origin_r
+    active = np.sqrt(np.sum(X0 * X0, axis=1)) >= origin_r
+    frozen = None if np.all(active) else ~active
     truncate_step = np.where(active, -1, 0).astype(np.int64)
     cap_rejections = np.zeros(n_paths, dtype=np.int64)
     reject_pts = []
     crossings = np.zeros(n_paths, dtype=np.int64)
 
-    n_rec = n_steps // cfg.record_stride + 1
-    rec_pos = np.empty((n_paths, n_rec, 3))
-    rec_t = np.empty(n_rec)
-    rec_pos[:, 0] = X
-    rec_t[0] = 0.0
+    rec_t = cfg.record_times()
+    rec_pos = np.empty((n_paths, rec_t.size, 3))
+    rec_pos[:, 0] = X0
     rec_i = 1
 
-    u0, _ = elliptic_uv(p, X[:, 0], X[:, 1])
+    u0, _ = elliptic_uv(p, X0[:, 0], X0[:, 1])
 
+    squares = np.empty_like(S)
+    norm = np.empty(n_paths)
+    hit = np.empty(n_paths, dtype=bool)
+    ok = np.empty(n_paths, dtype=bool)
+
+    def row_norm(A):
+        # sqrt((a_x^2 + a_y^2) + a_z^2), the order of np.sum(axis=1)
+        np.multiply(A, A, out=squares)
+        np.add(squares[0], squares[1], out=norm)
+        np.add(norm, squares[2], out=norm)
+        return np.sqrt(norm, out=norm)
+
+    scale = p.eps * math.sqrt(dt)
     k = 0
     with np.errstate(all="ignore"):
         while k < n_steps:
             chunk = min(_NOISE_CHUNK, n_steps - k)
-            noise = np.empty((n_paths, chunk, 3))
+            noise = np.empty((chunk, 3, n_paths))
             for i, g in enumerate(gens):
-                noise[i] = g.standard_normal((chunk, 3))
+                noise[:, :, i] = g.standard_normal((chunk, 3))
+            noise *= scale
             for j in range(chunk):
-                bx, by, bz = drift_components(p, X[:, 0], X[:, 1], X[:, 2])
-                nb = np.sqrt(bx * bx + by * by + bz * bz)
-                over = active & (nb > cfg.drift_cap)
-                if np.any(over):
-                    cap_rejections[over] += 1
-                    if len(reject_pts) < 10_000:
-                        reject_pts.extend(X[over].tolist())
-                    f = np.where(over, cfg.drift_cap / np.where(nb > 0, nb, 1.0), 1.0)
-                    bx, by, bz = bx * f, by * f, bz * f
-                Xn = X + np.stack([bx, by, bz], axis=1) * dt
-                Xn += eps * sdt * noise[:, j]
-                bad = active & (~np.all(np.isfinite(Xn), axis=1)
-                                | (np.sqrt(np.sum(Xn * Xn, axis=1)) < origin_r))
-                if np.any(bad):
-                    Xn[bad] = X[bad]
-                    truncate_step[bad] = k
-                    active &= ~bad
-                Xn[~active] = X[~active]
-                flip = active & (X[:, 1] * Xn[:, 1] < 0)
-                if np.any(flip):
-                    xm = 0.5 * (X[flip, 0] + Xn[flip, 0])
-                    zm = 0.5 * (X[flip, 2] + Xn[flip, 2])
-                    crossings[flip] += in_jump_set(p, xm, zm)
-                X = Xn
+                Sn[0], Sn[1], Sn[2] = drift_components(p, x, y, z)
+                np.greater(row_norm(Sn), cap, out=hit)
+                if frozen is not None:
+                    hit &= active
+                if np.count_nonzero(hit):
+                    cap_rejections[hit] += 1
+                    if len(reject_pts) < MAX_CAP_REJECT_POINTS:
+                        reject_pts.extend(S[:, hit].T.tolist())
+                    Sn[:, hit] *= cap / norm[hit]
+                Sn *= dt
+                Sn += S
+                Sn += noise[j]
+                # origin_r <= r < inf: every coordinate finite, outside
+                # the origin ball; the other lanes get the exact predicate
+                r = row_norm(Sn)
+                np.greater_equal(r, origin_r, out=ok)
+                np.less(r, np.inf, out=hit)
+                ok &= hit
+                if frozen is not None:
+                    ok |= frozen
+                if np.count_nonzero(ok) < n_paths:
+                    lanes = np.flatnonzero(~ok)
+                    bad = lanes[~np.all(np.isfinite(Sn[:, lanes]), axis=0)
+                                | (r[lanes] < origin_r)]
+                    if bad.size:
+                        truncate_step[bad] = k
+                        active[bad] = False
+                        frozen = ~active
+                if frozen is not None:
+                    Sn[:, frozen] = S[:, frozen]
+                # frozen lanes have Sn == S, so y * y >= 0 keeps them out
+                np.multiply(y, Sn[1], out=norm)
+                np.less(norm, 0.0, out=hit)
+                if np.count_nonzero(hit):
+                    xm = 0.5 * (x[hit] + Sn[0, hit])
+                    zm = 0.5 * (z[hit] + Sn[2, hit])
+                    crossings[hit] += in_jump_set(p, xm, zm)
+                S[...] = Sn
                 k += 1
                 if k % cfg.record_stride == 0:
-                    rec_pos[:, rec_i] = X
-                    rec_t[rec_i] = k * dt
+                    rec_pos[:, rec_i] = S.T
                     rec_i += 1
 
-    rec_pos = rec_pos[:, :rec_i]
-    rec_t = rec_t[:rec_i]
     flat = rec_pos.reshape(-1, 3)
     u, v = elliptic_uv(p, flat[:, 0], flat[:, 1])
-    u = u.reshape(n_paths, rec_i)
-    v = v.reshape(n_paths, rec_i)
+    u = u.reshape(n_paths, rec_t.size)
+    v = v.reshape(n_paths, rec_t.size)
     if cfg.compute_jump_dist:
-        dist = jump_distance_many(p, flat).reshape(n_paths, rec_i)
+        dist = jump_distance_many(p, flat).reshape(n_paths, rec_t.size)
     else:
-        dist = np.full((n_paths, rec_i), np.nan)
+        dist = np.full((n_paths, rec_t.size), np.nan)
 
     return TrajectoryEnsemble(
         config=cfg, times=rec_t, pos=rec_pos, u=u, v=v, dist_sigma=dist,

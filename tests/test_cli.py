@@ -1,9 +1,9 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
+from kepdiff import sde
 from kepdiff.cli import main
 from kepdiff.io import read_json, write_json
 
@@ -148,6 +148,17 @@ def test_measure_marginal_small(capsys, tmp_path):
     assert doc["l1"] < 0.5
     lines = (tmp_path / "marginal.csv").read_text().splitlines()
     assert lines[1] == "bin_center,empirical,analytic"
+
+
+def test_measure_marginal_too_few_samples_rejected_up_front(
+        capsys, tmp_path, monkeypatch):
+    def no_simulation(cfg):
+        raise AssertionError("simulated before checking the sample count")
+    monkeypatch.setattr(sde, "simulate_ensemble", no_simulation)
+    code, _, err = run(capsys, "measure", "--marginal", "--samples", "100",
+                       "--seed", "1", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "--samples 100 yields at most 192 post-burn-in samples" in err
 
 
 def test_measure_requires_mode(capsys):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from kepdiff import (ConfigError, EllipseDensity, EmpiricalMarginal,
-                     GAUSS_WIDTH_FACTOR, InsufficientSamplesError, PhysParams,
+                     InsufficientSamplesError, PhysParams,
                      angular_marginal_density, cross_section_widths, drift,
                      ellipse_average, ellipse_point, empirical_marginal,
                      laplace_weight, laplace_weight_integral,

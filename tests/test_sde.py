@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kepdiff import (ConfigError, GAUSS_WIDTH_FACTOR, PhysParams, RingStart,
-                     SimConfig, SingularPointError, areal_velocity,
+                     SimConfig, SingularPointError, TrajectoryEnsemble,
                      cross_section_widths, drift, ellipse_average,
-                     ellipse_point, jump_distance_many, kepler_diagnostics,
-                     orbital_period, simulate_ensemble, step)
+                     jump_distance_many, kepler_diagnostics, orbital_period,
+                     sde, simulate_ensemble, step)
+from kepdiff.fields import elliptic_uv, in_jump_set
 from kepdiff.sde import deterministic_orbit
 
 SQ3 = math.sqrt(3.0)
@@ -191,6 +193,183 @@ def test_weak_order_dt_halving(p):
     m1, m2 = np.mean(e1.u[:, -1]), np.mean(e2.u[:, -1])
     se = math.hypot(np.std(e1.u[:, -1]), np.std(e2.u[:, -1])) / math.sqrt(256)
     assert abs(m1 - m2) < 2.5 * se
+
+
+def _simulate_reference(cfg):
+    """The step loop as it stood before the per-coordinate rewrite.
+
+    One (n_paths, 3) state array, a stacked drift and a full set of
+    masks on every step; :func:`simulate_ensemble` must equal it bit for
+    bit.  The drift is looked up on ``sde`` so a monkeypatch reaches both.
+    """
+    p = cfg.params
+    dt, eps = cfg.dt, p.eps
+    sdt = math.sqrt(dt)
+    n_paths, n_steps = cfg.n_paths, cfg.n_steps
+    origin_r = 1e-8 * p.a
+
+    X = cfg.start_points().copy()
+    gens = [np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+            for i in range(n_paths)]
+    active = np.sqrt(np.sum(X * X, axis=1)) >= origin_r
+    truncate_step = np.where(active, -1, 0).astype(np.int64)
+    cap_rejections = np.zeros(n_paths, dtype=np.int64)
+    reject_pts = []
+    crossings = np.zeros(n_paths, dtype=np.int64)
+
+    n_rec = n_steps // cfg.record_stride + 1
+    rec_pos = np.empty((n_paths, n_rec, 3))
+    rec_t = np.empty(n_rec)
+    rec_pos[:, 0] = X
+    rec_t[0] = 0.0
+    rec_i = 1
+
+    u0, _ = elliptic_uv(p, X[:, 0], X[:, 1])
+
+    k = 0
+    with np.errstate(all="ignore"):
+        while k < n_steps:
+            chunk = min(sde._NOISE_CHUNK, n_steps - k)
+            noise = np.empty((n_paths, chunk, 3))
+            for i, g in enumerate(gens):
+                noise[i] = g.standard_normal((chunk, 3))
+            for j in range(chunk):
+                bx, by, bz = sde.drift_components(p, X[:, 0], X[:, 1], X[:, 2])
+                nb = np.sqrt(bx * bx + by * by + bz * bz)
+                over = active & (nb > cfg.drift_cap)
+                if np.any(over):
+                    cap_rejections[over] += 1
+                    if len(reject_pts) < 10_000:
+                        reject_pts.extend(X[over].tolist())
+                    f = np.where(over, cfg.drift_cap / np.where(nb > 0, nb, 1.0), 1.0)
+                    bx, by, bz = bx * f, by * f, bz * f
+                Xn = X + np.stack([bx, by, bz], axis=1) * dt
+                Xn += eps * sdt * noise[:, j]
+                bad = active & (~np.all(np.isfinite(Xn), axis=1)
+                                | (np.sqrt(np.sum(Xn * Xn, axis=1)) < origin_r))
+                if np.any(bad):
+                    Xn[bad] = X[bad]
+                    truncate_step[bad] = k
+                    active &= ~bad
+                Xn[~active] = X[~active]
+                flip = active & (X[:, 1] * Xn[:, 1] < 0)
+                if np.any(flip):
+                    xm = 0.5 * (X[flip, 0] + Xn[flip, 0])
+                    zm = 0.5 * (X[flip, 2] + Xn[flip, 2])
+                    crossings[flip] += in_jump_set(p, xm, zm)
+                X = Xn
+                k += 1
+                if k % cfg.record_stride == 0:
+                    rec_pos[:, rec_i] = X
+                    rec_t[rec_i] = k * dt
+                    rec_i += 1
+
+    rec_pos = rec_pos[:, :rec_i]
+    rec_t = rec_t[:rec_i]
+    flat = rec_pos.reshape(-1, 3)
+    u, v = elliptic_uv(p, flat[:, 0], flat[:, 1])
+    u = u.reshape(n_paths, rec_i)
+    v = v.reshape(n_paths, rec_i)
+    if cfg.compute_jump_dist:
+        dist = jump_distance_many(p, flat).reshape(n_paths, rec_i)
+    else:
+        dist = np.full((n_paths, rec_i), np.nan)
+
+    return TrajectoryEnsemble(
+        config=cfg, times=rec_t, pos=rec_pos, u=u, v=v, dist_sigma=dist,
+        truncated=truncate_step >= 0, truncate_step=truncate_step,
+        cap_rejections=cap_rejections,
+        cap_reject_points=np.array(reject_pts).reshape(-1, 3),
+        jump_crossings=crossings, start_u=u0)
+
+
+def _assert_same_arrays(ens, ref):
+    for field in dataclasses.fields(TrajectoryEnsemble):
+        if field.name == "config":
+            continue
+        a, b = getattr(ens, field.name), getattr(ref, field.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        np.testing.assert_array_equal(a, b, err_msg=field.name)
+
+
+def _assert_matches_reference(cfg):
+    ens = simulate_ensemble(cfg)
+    _assert_same_arrays(ens, _simulate_reference(cfg))
+    return ens
+
+
+def test_ensemble_matches_reference_c7_like():
+    # C7's 64-lane shape at e = 0.5, eps = 0.3, shortened
+    cfg = SimConfig(params=PhysParams(ecc=0.5, eps=0.3), dt=1e-3,
+                    n_steps=3000, n_paths=64, seed=11, record_stride=20,
+                    compute_jump_dist=False)
+    _assert_matches_reference(cfg)
+
+
+def test_ensemble_matches_reference_capped(p):
+    # fixed-point start with cap 3: cap rejections on every lane, crossings,
+    # and a step count off both the record stride and the noise chunk
+    n_steps = 2 * sde._NOISE_CHUNK + 7
+    ens = _assert_matches_reference(small_cfg(
+        p, n_paths=13, n_steps=n_steps, x0=[-0.3, 1e-3, 0.0], drift_cap=3.0))
+    assert np.all(ens.cap_rejections > 0)
+    assert ens.jump_crossings.sum() > 0
+    assert n_steps % 10 and n_steps % sde._NOISE_CHUNK
+
+
+def test_ensemble_matches_reference_all_inactive(p):
+    # a ring inside the origin ball: every lane is truncated at step 0
+    ens = _assert_matches_reference(small_cfg(
+        p, n_paths=5, n_steps=300, x0=RingStart(1e-9), record_stride=3))
+    assert np.all(ens.truncate_step == 0)
+
+
+def test_ensemble_matches_reference_mid_run_truncation(monkeypatch):
+    # lane 2 is sent into the origin ball at step 4, lane 4's drift turns
+    # NaN from step 300 and lane 6's infinite from step 600; the other
+    # lanes run on beside the frozen ones
+    pp = PhysParams(ecc=0.5, eps=1e-9)
+    cfg = SimConfig(params=pp, dt=1e-3, n_steps=1500, n_paths=9, seed=3,
+                    x0=[0.3, 0.2, 0.0], drift_cap=450.0, record_stride=10)
+    calls = [0]
+    real = sde.drift_components
+
+    def drift_with_faults(pp, x, y, z):
+        bx, by, bz = real(pp, x, y, z)
+        calls[0] += 1
+        if calls[0] == 5:
+            bx[2], by[2], bz[2] = -np.array([x[2], y[2], z[2]]) / cfg.dt
+        if calls[0] > 300:
+            bx[4] = np.nan
+        if calls[0] > 600:
+            by[6] = np.inf
+        return bx, by, bz
+
+    monkeypatch.setattr(sde, "drift_components", drift_with_faults)
+    ens = simulate_ensemble(cfg)
+    calls[0] = 0
+    _assert_same_arrays(ens, _simulate_reference(cfg))
+    np.testing.assert_array_equal(ens.truncate_step,
+                                  [-1, -1, 4, -1, 300, -1, 600, -1, -1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("x0, b_x, truncated", [
+    # finite coordinates whose squares overflow (r^2 = inf) keep running
+    (1e160, 0.0, False),
+    # a step that overflows a coordinate to inf truncates; |b|^2 must stay
+    # finite, or the cap zeroes the drift, hence the huge dt and a
+    (np.finfo(float).max, 5e153, True)])
+def test_ensemble_overflowing_radius(monkeypatch, x0, b_x, truncated):
+    monkeypatch.setattr(sde, "drift_components",
+                        lambda pp, x, y, z: (0.0 * x + b_x, 0.0 * y, 0.0 * z))
+    cfg = SimConfig(params=PhysParams(lam=1e148), dt=1e140, n_steps=50,
+                    n_paths=4, seed=7, x0=[x0, 0.0, 0.0], drift_cap=1e154,
+                    record_stride=10, compute_jump_dist=False)
+    ens = _assert_matches_reference(cfg)
+    np.testing.assert_array_equal(ens.truncate_step, 0 if truncated else -1)
 
 
 def test_truncation_freezes_path(p):
