@@ -246,20 +246,27 @@ def criterion_7(seed=21):
         ok &= good
         lines.append(f"{label} control {err:.4f} (<{tol})")
 
+    gaps = {}
+
+    def matrix_gap(ecc, eps, n=None):
+        # each distinct grid (ecc, eps, n) is built and solved once
+        p = PhysParams(ecc=ecc, eps=eps)
+        grid = _model_grid(p, n=n)
+        key = (ecc, eps, grid.n)
+        if key not in gaps:
+            gaps[key] = spectral.gap_from_matrix(
+                spectral.build_generator(p, grid))
+        return gaps[key]
+
     for eps in (0.3, 0.2, 0.1):
-        p = PhysParams(ecc=0.5, eps=eps)
-        res = spectral.gap_from_matrix(
-            spectral.build_generator(p, _model_grid(p)))
+        res = matrix_gap(0.5, eps)
         good = res.gap > 0 and res.residual_weighted < 1e-8
         ok &= good
         lines.append(f"gap(e=0.5,eps={eps})={res.gap:.4f} "
                      f"resid={res.residual_weighted:.1e}")
 
-    p = PhysParams(ecc=0.5, eps=0.3)
-    g_c = spectral.gap_from_matrix(
-        spectral.build_generator(p, _model_grid(p, n=160))).gap
-    g_f = spectral.gap_from_matrix(
-        spectral.build_generator(p, _model_grid(p, n=320))).gap
+    g_c = matrix_gap(0.5, 0.3, n=160).gap
+    g_f = matrix_gap(0.5, 0.3, n=320).gap
     dbl = abs(g_f / g_c - 1)
     ok &= dbl <= 0.10
     lines.append(f"grid-doubling change {dbl:.3f} (<=0.10)")
@@ -268,8 +275,7 @@ def criterion_7(seed=21):
     for e in (0.3, 0.5):
         for eps in (0.2, 0.3):
             p = PhysParams(ecc=e, eps=eps)
-            res = spectral.gap_from_matrix(
-                spectral.build_generator(p, _model_grid(p)))
+            res = matrix_gap(e, eps)
             cfg = sde.SimConfig(params=p, dt=1e-3, n_steps=240_000,
                                 n_paths=64, seed=seed, record_stride=20,
                                 compute_jump_dist=False)

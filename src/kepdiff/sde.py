@@ -236,7 +236,9 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     Sn = np.empty_like(S)       # the step's drift, then its candidate
     x, y, z = S
     gens = _path_generators(cfg.seed, n_paths)
-    active = np.sqrt(np.sum(X0 * X0, axis=1)) >= origin_r
+    with np.errstate(all="ignore"):  # finite starts whose squares overflow
+        active = np.sqrt(np.sum(X0 * X0, axis=1)) >= origin_r
+        u0, _ = elliptic_uv(p, X0[:, 0], X0[:, 1])
     frozen = None if np.all(active) else ~active
     truncate_step = np.where(active, -1, 0).astype(np.int64)
     cap_rejections = np.zeros(n_paths, dtype=np.int64)
@@ -247,8 +249,6 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     rec_pos = np.empty((n_paths, rec_t.size, 3))
     rec_pos[:, 0] = X0
     rec_i = 1
-
-    u0, _ = elliptic_uv(p, X0[:, 0], X0[:, 1])
 
     squares = np.empty_like(S)
     norm = np.empty(n_paths)
@@ -316,7 +316,8 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
                     rec_i += 1
 
     flat = rec_pos.reshape(-1, 3)
-    u, v = elliptic_uv(p, flat[:, 0], flat[:, 1])
+    with np.errstate(all="ignore"):
+        u, v = elliptic_uv(p, flat[:, 0], flat[:, 1])
     u = u.reshape(n_paths, rec_t.size)
     v = v.reshape(n_paths, rec_t.size)
     if cfg.compute_jump_dist:

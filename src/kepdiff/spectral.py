@@ -7,10 +7,15 @@ makes the matrix the generator of a Markov jump chain (all off-diagonal
 rates nonnegative, zero interior row sums).  Each generator is factorised
 once: an LU of the matrix with one row pinned to the identity row gives
 the stationary law from a single transposed solve and the inverse
-generator for ARPACK's implicitly restarted Arnoldi.  The spectral gap is
-estimated two independent ways: from the matrix (the slow eigenvalues of
-that deflated inverse) and from the decay of stationary autocovariances
-of simulated ensembles.
+generator for ARPACK's implicitly restarted Arnoldi.  The LU orders its
+columns by multiple minimum degree on A^T + A (Liu 1985), which on these
+5-point grid matrices leaves about half the fill of SuperLU's default
+COLAMD.  The factorisation and every solve run with each loaded OpenBLAS
+limited to one thread: the sparse work is memory-bound, and extra BLAS
+threads only contend for the cores.  The spectral gap is estimated two
+independent ways: from the matrix (the slow eigenvalues of that deflated
+inverse) and from the decay of stationary autocovariances of simulated
+ensembles.
 
 The module also carries the numeric checks used around the gap argument:
 the Dirichlet-form identity, the adjoint (stationarity) residual of the
@@ -20,9 +25,11 @@ and the similarity-transform Hamiltonian residual.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +59,55 @@ AUTOCORR_N_BOOT = 200
 SUP_GRAD_N_R = 12
 SUP_GRAD_N_ANGLES = 64
 SUP_GRAD_MARGIN = 0.1
+#: OpenBLAS thread-count accessors: numpy's ILP64 build suffixes its
+#: symbols with 64_, scipy's LP64 build does not.
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{stem}_get_num_threads{sfx}", f"{stem}_set_num_threads{sfx}")
+    for stem in ("scipy_openblas", "openblas") for sfx in ("64_", ""))
+
+
+@cache
+def _openblas_thread_accessors():
+    """(get, set) thread-count functions of every OpenBLAS in this process.
+
+    Libraries are found from the process's memory map; one without a
+    matching get/set pair is skipped.  Empty where there is no map or no
+    OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Limit every loaded OpenBLAS to one thread; restore each count on exit."""
+    saved = []
+    try:
+        for get, set_ in _openblas_thread_accessors():
+            saved.append((set_, get()))
+            set_(1)
+        yield
+    finally:
+        for set_, n in reversed(saved):
+            set_(n)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +236,11 @@ class GeneratorMatrix:
         """SuperLU factor of the matrix with row ``pin`` set to e_pin^T.
 
         The pinned matrix is nonsingular exactly when the chain is
-        irreducible; a singular one raises ConvergenceError.  Computed
-        once and shared by ``stationary_vector`` and ``gap_from_matrix``.
+        irreducible; a singular one raises ConvergenceError.  Columns are
+        ordered by multiple minimum degree on A^T + A, about half the fill
+        of the default COLAMD on 5-point grids (6.6M against 12.4M L+U
+        nonzeros at eps = 0.1).  Computed once, inside the one-BLAS-thread
+        scope of ``stationary_vector``, and shared with ``gap_from_matrix``.
         """
         C, pin = self.matrix.tocoo(), self.pin
         keep = C.row != pin
@@ -190,7 +249,7 @@ class GeneratorMatrix:
         vals = np.concatenate([C.data[keep], [1.0]])
         M = sp.csc_matrix((vals, (rows, cols)), shape=C.shape)
         try:
-            return spla.splu(M)
+            return spla.splu(M, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise ConvergenceError(
                 "generator is reducible: the active nodes are disconnected, "
@@ -306,20 +365,27 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
 # eigen machinery
 # ---------------------------------------------------------------------------
 
+@_one_blas_thread()
 def stationary_vector(G: GeneratorMatrix):
     """Left null vector of the generator (the chain's stationary law).
 
     With M the pinned matrix (row ``pin`` of Q replaced by the identity
     row), M^T pi = pi_pin (e_pin - Q[pin, :]^T), so one transposed solve
-    on ``G.pinned_lu`` gives pi exactly, up to normalisation.  Returns the
+    on ``G.pinned_lu`` gives pi exactly, up to normalisation.  A second
+    solve against that system's residual (one step of iterative
+    refinement) removes the roundoff the minimum-degree order leaves: on
+    the 200 x 200 Neumann control pi is 2e-14 in L1 from the exact law,
+    against 2.4e-12 unrefined (and 1.6e-13 under COLAMD).  Returns the
     probability vector and its residual |pi Q|_1.  Raises
     ConvergenceError when pi has a negative entry beyond roundoff or its
     residual exceeds PI_TOL * max|Q_ii|.
     """
-    Q, pin = G.matrix, G.pin
+    Q, pin, lu = G.matrix, G.pin, G.pinned_lu
     rhs = -Q[pin].toarray().ravel()
     rhs[pin] += 1.0
-    pi = G.pinned_lu.solve(rhs, trans="T")
+    pi = lu.solve(rhs, trans="T")
+    # the pinned system's residual, from M^T x = Q^T x + x_pin rhs
+    pi += lu.solve((1.0 - pi[pin]) * rhs - Q.T @ pi, trans="T")
     pi /= pi.sum()
     resid = float(np.abs(Q.T @ pi).sum())
     bound = PI_TOL * float(np.abs(Q.diagonal()).max())
@@ -351,6 +417,7 @@ class GapResult:
                 "converged": self.converged}
 
 
+@_one_blas_thread()
 def gap_from_matrix(G: GeneratorMatrix) -> GapResult:
     """Spectral gap of -G: smallest real part over the nonzero spectrum.
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,20 @@ def test_ensemble_overflowing_radius(monkeypatch, x0, b_x, truncated):
                     record_stride=10, compute_jump_dist=False)
     ens = _assert_matches_reference(cfg)
     np.testing.assert_array_equal(ens.truncate_step, 0 if truncated else -1)
+
+
+def test_ensemble_overflowing_start_is_silent(monkeypatch):
+    # the start norm and the u/v of a finite start whose squares overflow
+    # raise no RuntimeWarning
+    monkeypatch.setattr(sde, "drift_components",
+                        lambda pp, x, y, z: (0.0 * x, 0.0 * y, 0.0 * z))
+    cfg = SimConfig(params=PhysParams(lam=1e148), dt=1e140, n_steps=50,
+                    n_paths=4, seed=7, x0=[1e160, 0.0, 0.0], drift_cap=1e154,
+                    record_stride=10, compute_jump_dist=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ens = simulate_ensemble(cfg)
+    np.testing.assert_array_equal(ens.truncate_step, -1)
 
 
 def test_truncation_freezes_path(p):

@@ -1,7 +1,10 @@
+import ctypes
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from kepdiff import (ConfigError, ConvergenceError, GridSpec, PhysParams,
                      ResolutionError, SimConfig, SpectralConfig,
@@ -182,12 +185,17 @@ def test_gap_repeatable(model_gen):
     assert a.eigenvalues == b.eigenvalues
 
 
-def test_reducible_generator_raises():
+def _reducible_1d():
     # the excluded ball cuts the 1-d box into two disconnected halves
-    G = build_generator(PhysParams(eps=0.2),
-                        GridSpec(dim=1, box=((-1.0, 1.0),), n=200,
-                                 excluded=0.5),
-                        drift_fn=None, weight_fn=None, check_resolution=False)
+    return build_generator(PhysParams(eps=0.2),
+                           GridSpec(dim=1, box=((-1.0, 1.0),), n=200,
+                                    excluded=0.5),
+                           drift_fn=None, weight_fn=None,
+                           check_resolution=False)
+
+
+def test_reducible_generator_raises():
+    G = _reducible_1d()
     with pytest.raises(ConvergenceError, match="disconnected"):
         stationary_vector(G)
     with pytest.raises(ConvergenceError, match="disconnected"):
@@ -209,6 +217,113 @@ def test_stationary_vector_sign_checked():
     G.pinned_lu = FlippedLU()
     with pytest.raises(ConvergenceError):
         stationary_vector(G)
+
+
+def _default_order_lu(G):
+    """Oracle: SuperLU's default-ordering factor of G's pinned matrix."""
+    M = G.matrix.tolil(copy=True)
+    M[G.pin, :] = 0.0
+    M[G.pin, G.pin] = 1.0
+    return spla.splu(M.tocsc())
+
+
+def _model_n80():
+    p = PhysParams(ecc=0.5, eps=0.3)
+    return build_generator(p, production_grid_2d(p, n=80))
+
+
+def _neumann_2d():
+    return build_generator(PhysParams(eps=0.2),
+                           GridSpec(dim=2, box=((0.0, 1.0), (0.0, 1.0)), n=200),
+                           drift_fn=None, weight_fn=None,
+                           check_resolution=False)
+
+
+@pytest.mark.parametrize("build", [_model_n80, _neumann_2d],
+                         ids=["model_n80", "neumann_2d"])
+def test_fill_reducing_order_changes_no_result(build):
+    G = build()
+    oracle = dataclasses.replace(G)
+    oracle.pinned_lu = _default_order_lu(G)
+    gap, ref = gap_from_matrix(G).gap, gap_from_matrix(oracle).gap
+    assert abs(gap / ref - 1) < 1e-10
+    pi, pi_ref = stationary_vector(G)[0], stationary_vector(oracle)[0]
+    assert np.abs(pi - pi_ref).sum() < 1e-12
+    lu, lu_ref = G.pinned_lu, oracle.pinned_lu
+    assert lu.L.nnz + lu.U.nnz < lu_ref.L.nnz + lu_ref.U.nnz
+
+
+def _openblas_thread_accessors():
+    """(get, set) thread-count functions of each OpenBLAS in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return []
+    names = [(f"{stem}_get_num_threads{sfx}", f"{stem}_set_num_threads{sfx}")
+             for stem in ("scipy_openblas", "openblas") for sfx in ("64_", "")]
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        pair = next(((getattr(lib, g), getattr(lib, s)) for g, s in names
+                     if hasattr(lib, g) and hasattr(lib, s)), None)
+        if pair is not None:
+            get, set_ = pair
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append(pair)
+    return found
+
+
+@pytest.fixture
+def blas_threads():
+    """Every OpenBLAS at two threads; yields a reader of the counts."""
+    pairs = _openblas_thread_accessors()
+    if not pairs:
+        pytest.skip("no OpenBLAS thread-count getter is loaded")
+    saved = [get() for get, _ in pairs]
+    for _, set_ in pairs:
+        set_(2)
+    try:
+        yield lambda: [get() for get, _ in pairs]
+    finally:
+        for (_, set_), n in zip(pairs, saved):
+            set_(n)
+
+
+def test_solves_run_on_one_blas_thread_and_restore(blas_threads, monkeypatch):
+    real_splu = spla.splu
+    seen = []
+
+    class RecordingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            seen.append(blas_threads())
+            return self._lu.solve(*args, **kwargs)
+
+    def splu(*args, **kwargs):
+        seen.append(blas_threads())
+        return RecordingLU(real_splu(*args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", splu)
+    before = blas_threads()
+    G = _model_n80()
+    assert gap_from_matrix(G).converged
+    assert len(seen) > 2
+    assert all(counts == [1] * len(before) for counts in seen)
+    assert blas_threads() == before
+    stationary_vector(G)
+    assert blas_threads() == before
+
+    # a reducible generator raises from inside the scope
+    R = _reducible_1d()
+    for solve in (stationary_vector, gap_from_matrix):
+        with pytest.raises(ConvergenceError):
+            solve(R)
+        assert blas_threads() == before
 
 
 def test_model_gap_grid_independence():
