@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 
+import numpy as np
+
 from kepdiff import (PhysParams, SimConfig, build_generator,
                      gap_from_autocorrelation, gap_from_matrix,
                      simulate_ensemble)
@@ -54,7 +56,7 @@ def main():
     write_csv(os.path.join(args.out_dir, "gap_curve.csv"),
               ["ecc", "eps", "gap", "mode_frequency", "eigen_residual",
                "autocorr_gap", "agreement_ratio"],
-              rows, metadata={"seed": args.seed})
+              [tuple(np.array(rows).T)], metadata={"seed": args.seed})
 
 
 if __name__ == "__main__":

@@ -45,16 +45,13 @@ def main():
     meta = {"sim": cfg.as_dict(), "bins": args.bins, "burn_in": burn}
     write_csv(os.path.join(args.out_dir, "marginal.csv"),
               ["bin_center", "empirical", "analytic"],
-              list(zip(map(float, marg.centers),
-                       map(float, marg.probabilities),
-                       map(float, marg.analytic_probs(p.ecc)))),
+              [(marg.centers, marg.probabilities, marg.analytic_probs(p.ecc))],
               metadata=meta)
     vs = np.linspace(0, 2 * np.pi, 360, endpoint=False)
     sn, sz = cross_section_widths(p, vs)
     write_csv(os.path.join(args.out_dir, "widths.csv"),
               ["v", "sigma_normal", "sigma_z"],
-              list(zip(map(float, vs), map(float, sn), map(float, sz))),
-              metadata={"params": p.as_dict()})
+              [(vs, sn, sz)], metadata={"params": p.as_dict()})
     summary = {
         "config": meta,
         "l1": marg.l1_distance(p.ecc),

@@ -14,7 +14,8 @@ import os
 
 from kepdiff import PhysParams, RingStart, SimConfig, kepler_diagnostics, \
     simulate_ensemble
-from kepdiff.io import write_csv, write_json
+from kepdiff.io import (TRAJECTORY_COLUMNS, trajectory_blocks, write_csv,
+                        write_json)
 
 
 def main():
@@ -35,15 +36,9 @@ def main():
     rep = kepler_diagnostics(ens, p)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = []
-    for i in range(ens.n_paths):
-        for k in range(len(ens.times)):
-            rows.append((i, float(ens.times[k]), *map(float, ens.pos[i, k]),
-                         float(ens.u[i, k]), float(ens.v[i, k]),
-                         float(ens.dist_sigma[i, k])))
     write_csv(os.path.join(args.out_dir, "showcase_trajectories.csv"),
-              ["path", "t", "x", "y", "z", "u", "v", "dist_sigma"],
-              rows, metadata=cfg.as_dict())
+              TRAJECTORY_COLUMNS, trajectory_blocks(ens),
+              metadata=cfg.as_dict())
     write_json(os.path.join(args.out_dir, "showcase_diagnostics.json"),
                {"config": cfg.as_dict(), **rep})
     print(json.dumps({"fraction_converged_final":

@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import acceptance, fields, measure, sde, spectral
-from .io import read_json, write_csv, write_json
+from .io import (TRAJECTORY_COLUMNS, read_json, trajectory_blocks,
+                 write_csv, write_json)
 from .params import (ConfigError, ConvergenceError, InsufficientSamplesError,
                      NodeError, PhysParams, ResolutionError,
                      SingularPointError)
@@ -144,12 +145,11 @@ def cmd_field(args):
             alpha, beta = fields.alpha_beta(p, pts)
             b = fields.drift(p, pts)
             ld = measure.log_invariant_density(p, pts)
-        rows = [(pt[0], pt[1], pt[2], float(al), float(be),
-                 float(bb[0]), float(bb[1]), float(bb[2]), float(l))
-                for pt, al, be, bb, l in zip(pts, alpha, beta, b, ld)]
         out = args.out or "field_grid.csv"
+        cols = (*pts.T, alpha, beta, *b.T, ld)
+        # one block per grid line: the text of one line is held at a time
         write_csv(out, ["x", "y", "z", "alpha", "beta", "b_x", "b_y", "b_z",
-                        "log_density"], rows,
+                        "log_density"], zip(*(np.split(c, n) for c in cols)),
                   metadata={"params": p.as_dict(), "grid": n,
                             "box": [x0, x1, y0, y1], "z": args.z})
         print(f"wrote {out}")
@@ -197,15 +197,8 @@ def cmd_simulate(args):
     rep = sde.kepler_diagnostics(ens, p)
     meta = sim.as_dict()
     traj_path = os.path.join(out_dir, prefix + "trajectories.csv")
-    rows = []
-    for i in range(ens.n_paths):
-        for k in range(len(ens.times)):
-            rows.append((i, float(ens.times[k]),
-                         float(ens.pos[i, k, 0]), float(ens.pos[i, k, 1]),
-                         float(ens.pos[i, k, 2]), float(ens.u[i, k]),
-                         float(ens.v[i, k]), float(ens.dist_sigma[i, k])))
-    write_csv(traj_path, ["path", "t", "x", "y", "z", "u", "v", "dist_sigma"],
-              rows, metadata=meta)
+    write_csv(traj_path, TRAJECTORY_COLUMNS, trajectory_blocks(ens),
+              metadata=meta)
     diag_path = os.path.join(out_dir, prefix + "diagnostics.json")
     write_json(diag_path, {"config": meta, **rep})
     print(json.dumps({"trajectories": traj_path, "diagnostics": diag_path,
@@ -223,8 +216,7 @@ def cmd_measure(args):
         vs = np.linspace(0, 2 * np.pi, args.bins, endpoint=False)
         sn, sz = measure.cross_section_widths(p, vs)
         path = os.path.join(out_dir, prefix + "widths.csv")
-        write_csv(path, ["v", "sigma_normal", "sigma_z"],
-                  list(zip(map(float, vs), map(float, sn), map(float, sz))),
+        write_csv(path, ["v", "sigma_normal", "sigma_z"], [(vs, sn, sz)],
                   metadata={"params": p.as_dict()})
         print(f"wrote {path}")
         did = True
@@ -255,8 +247,7 @@ def cmd_measure(args):
         meta = {"sim": sim.as_dict(), "bins": args.bins, "burn_in": burn}
         mpath = os.path.join(out_dir, prefix + "marginal.csv")
         write_csv(mpath, ["bin_center", "empirical", "analytic"],
-                  list(zip(map(float, marg.centers), map(float, emp),
-                           map(float, ana))), metadata=meta)
+                  [(marg.centers, emp, ana)], metadata=meta)
         summary = {"config": meta, "l1": marg.l1_distance(p.ecc),
                    "chi2": marg.chi2(p.ecc), "samples": marg.total}
         spath = os.path.join(out_dir, prefix + "marginal_summary.json")
@@ -286,7 +277,7 @@ def cmd_spectral(args):
             radii = np.geomspace(0.1, 100.0, 25) * p.a
         scan = spectral.osmotic_radial_scan(p, scfg, radii)
         path = os.path.join(out_dir, prefix + "radial_scan.csv")
-        write_csv(path, ["r", "max_Gu", "bound"], scan.rows(),
+        write_csv(path, ["r", "max_Gu", "bound"], [scan.columns()],
                   metadata={"params": p.as_dict(), "C": scfg.C,
                             "C_tilde": scfg.C_tilde})
         print(json.dumps({"scan": path, "r1_hat": scan.r1_hat,

@@ -197,12 +197,6 @@ class EllipseDensity:
     def T_of_v(self, v):
         return tangential_factor(self.params.ecc, v)
 
-    def g_of_v(self, v):
-        return laplace_weight(self.params.ecc, v)
-
-    def widths(self, v):
-        return cross_section_widths(self.params, v)
-
 
 # ---------------------------------------------------------------------------
 # empirical angular marginal

@@ -164,10 +164,6 @@ class TrajectoryEnsemble:
     def record_dt(self):
         return self.config.dt * self.config.record_stride
 
-    @property
-    def final_positions(self):
-        return self.pos[:, -1, :]
-
     def converged_mask(self, k=-1):
         e = self.config.params.ecc
         return (np.abs(self.u[:, k] - e) < CONV_U_TOL) \

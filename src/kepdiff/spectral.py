@@ -779,9 +779,9 @@ class RadialScan:
     sup_grad_log_T: float       # over scanned shells outside config.r0
     config: SpectralConfig
 
-    def rows(self):
-        return [(float(r), float(m), self.bound)
-                for r, m in zip(self.radii, self.max_gu)]
+    def columns(self):
+        """(r, max_Gu, bound) as equal-length columns for the scan CSV."""
+        return self.radii, self.max_gu, np.full(len(self.radii), self.bound)
 
 
 def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig, radii,

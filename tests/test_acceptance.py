@@ -53,7 +53,10 @@ def test_criterion_6_convergence_chain():
 
 
 def test_criterion_7_spectral_suite():
-    assert _run("C7").passed
+    res = _run("C7")
+    assert res.passed
+    # each production gap prints its residual check, not the roundoff value
+    assert res.details.count(" resid<1e-8") == 3
 
 
 def test_criterion_8_proof_machinery():

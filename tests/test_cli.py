@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from kepdiff import sde
@@ -46,6 +47,10 @@ def test_field_grid_table(capsys, tmp_path):
     assert lines[0].startswith("# config:")
     assert lines[1] == "x,y,z,alpha,beta,b_x,b_y,b_z,log_density"
     assert len(lines) == 2 + 64
+    # rows run over y within each x, written one grid line per block
+    xy = [tuple(map(float, line.split(",")[:2])) for line in lines[2:]]
+    assert xy == [(x, y) for x in np.linspace(-2, 1, 8)
+                  for y in np.linspace(-1, 1, 8)]
 
 
 def test_unknown_config_key_rejected(capsys, tmp_path):

@@ -82,7 +82,7 @@ def test_ellipse_density_bundle(p):
     d = EllipseDensity(p)
     assert d.T_of_v(0.0) == pytest.approx(1.0)
     assert d.normalization == pytest.approx(laplace_weight_integral(p.ecc) / 2)
-    sn, sz = d.widths(math.pi / 2)
+    sn, sz = cross_section_widths(p, math.pi / 2)
     assert sz == pytest.approx(0.1 * math.sqrt(1.25))
 
 

@@ -485,9 +485,10 @@ def test_radial_scan_without_tangential_term(p):
 def test_scan_rows_format(p):
     cfg = SpectralConfig(params=p, C=2.0)
     scan = osmotic_radial_scan(p, cfg, [1.0, 10.0], n_angles=16)
-    rows = scan.rows()
-    assert len(rows) == 2 and len(rows[0]) == 3
-    assert rows[0][2] == scan.bound
+    # the scan CSV's rows are (r, max_Gu, bound), written as columns
+    r, gu, bound = scan.columns()
+    assert r.tolist() == [1.0, 10.0] and gu is scan.max_gu
+    assert bound.tolist() == [scan.bound] * 2
 
 
 # ---------------------------------------------------------------------------
