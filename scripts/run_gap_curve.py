@@ -20,6 +20,7 @@ from kepdiff import (PhysParams, SimConfig, build_generator,
                      gap_from_autocorrelation, gap_from_matrix,
                      simulate_ensemble)
 from kepdiff.io import write_csv
+from kepdiff.sde import AUTOCORR_BURN_IN
 from kepdiff.spectral import production_grid_2d
 
 
@@ -39,11 +40,9 @@ def main():
             res = gap_from_matrix(build_generator(p, production_grid_2d(p)))
             gamma, ratio = float("nan"), float("nan")
             if not args.skip_autocorr:
-                cfg = SimConfig(params=p, dt=1e-3, n_steps=240_000,
-                                n_paths=64, seed=args.seed, record_stride=20,
-                                compute_jump_dist=False)
-                ac = gap_from_autocorrelation(simulate_ensemble(cfg),
-                                              burn_in=20.0)
+                ens = simulate_ensemble(
+                    SimConfig.autocorrelation(p, args.seed))
+                ac = gap_from_autocorrelation(ens, burn_in=AUTOCORR_BURN_IN)
                 gamma = ac.gamma
                 ratio = max(gamma / res.gap, res.gap / gamma)
             rows.append((ecc, eps, res.gap, res.eigenvalue.imag,

@@ -10,7 +10,6 @@ empirical z-spread against the predicted Gaussian cross-section widths.
 
 import argparse
 import json
-import math
 import os
 
 import numpy as np
@@ -19,6 +18,7 @@ from kepdiff import (GAUSS_WIDTH_FACTOR, PhysParams, SimConfig,
                      cross_section_widths, empirical_marginal,
                      simulate_ensemble, z_spread_by_angle)
 from kepdiff.io import write_csv, write_json
+from kepdiff.sde import MARGINAL_BURN_IN
 
 
 def main():
@@ -32,11 +32,8 @@ def main():
     args = ap.parse_args()
 
     p = PhysParams(ecc=args.ecc, eps=args.eps)
-    burn, stride, n_paths, dt = 24.0, 12, 64, 1e-3
-    per_path = math.ceil(float(args.samples) / n_paths)
-    cfg = SimConfig(params=p, dt=dt, n_steps=int(burn / dt) + per_path * stride,
-                    n_paths=n_paths, seed=args.seed, record_stride=stride,
-                    compute_jump_dist=False)
+    burn = MARGINAL_BURN_IN
+    cfg = SimConfig.marginal(p, args.seed, float(args.samples))
     ens = simulate_ensemble(cfg)
     marg = empirical_marginal(ens, bins=args.bins, burn_in=burn)
     centers, emp, pred = z_spread_by_angle(ens, p, burn_in=burn)

@@ -9,10 +9,11 @@ plot-ready trajectory data plus the convergence-fraction curve.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 
-from kepdiff import PhysParams, RingStart, SimConfig, kepler_diagnostics, \
+from kepdiff import PhysParams, SimConfig, kepler_diagnostics, \
     simulate_ensemble
 from kepdiff.io import (TRAJECTORY_COLUMNS, trajectory_blocks, write_csv,
                         write_json)
@@ -29,9 +30,9 @@ def main():
     args = ap.parse_args()
 
     p = PhysParams(ecc=args.ecc, eps=args.eps)
-    cfg = SimConfig(params=p, dt=1e-3, n_steps=int(args.t_final / 1e-3),
-                    n_paths=args.n_paths, seed=args.seed,
-                    x0=RingStart(3 * p.a), record_stride=50)
+    cfg = SimConfig.figure1(p, args.seed)
+    cfg = dataclasses.replace(cfg, n_steps=int(args.t_final / cfg.dt),
+                              n_paths=args.n_paths)
     ens = simulate_ensemble(cfg)
     rep = kepler_diagnostics(ens, p)
 

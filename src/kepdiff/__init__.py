@@ -11,22 +11,20 @@ from .params import (BranchPointWarning, ConfigError, ConvergenceError,
 from .fields import (EllipticCoords, FieldSample, alpha_beta,
                      complex_velocity, drift, drift_root, ellipse_point,
                      ellipse_tangent, from_elliptic, in_jump_set,
-                     jump_distance, jump_distance_many, jump_interval,
-                     kepler_speed, nodal_coordinate, to_elliptic,
-                     wave_gradients)
+                     jump_distance_many, jump_interval, kepler_speed,
+                     nodal_coordinate, to_elliptic, wave_gradients)
 from .specfun import (PolyEval, complex_velocity_finite, hermite,
                       hermite_ratio, laguerre, laguerre_ratio, log_amplitude,
                       log_wave)
-from .measure import (EllipseDensity, EmpiricalMarginal, GAUSS_WIDTH_FACTOR,
-                      angular_marginal_density, cross_section_widths,
-                      ellipse_average, empirical_marginal, laplace_weight,
-                      laplace_weight_integral, log_invariant_density,
-                      ridge_hessian, tangential_factor, tangential_factor_ode,
+from .measure import (EmpiricalMarginal, GAUSS_WIDTH_FACTOR,
+                      cross_section_widths, empirical_marginal,
+                      laplace_weight, laplace_weight_integral,
+                      log_invariant_density, tangential_factor,
                       tangential_factor_ode_grid, tangential_log_slope,
                       z_spread_by_angle)
 from .sde import (CONV_U_TOL, CONV_Z_TOL, RingStart, SimConfig,
                   TrajectoryEnsemble, areal_velocity, kepler_diagnostics,
-                  orbital_period, simulate_ensemble, step)
+                  simulate_ensemble)
 from .spectral import (AutocorrGap, DirichletCheck, GapResult,
                        GeneratorMatrix, GridSpec, HamiltonianResidual,
                        RadialScan, SpectralConfig, adjoint_residual,

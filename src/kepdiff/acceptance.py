@@ -43,10 +43,10 @@ class CriterionResult:
         return f"[{flag}] {self.cid} {self.name}: {self.details} ({self.elapsed:.1f}s)"
 
 
-def _sample_box(p: PhysParams, n, seed=7):
-    """Quasi-random points in [-4a, 4a]^3 minus the origin ball and a
-    tube around the drift jump set."""
-    eng = qmc.Halton(d=3, seed=seed)
+def _sample_box(p: PhysParams, n):
+    """Quasi-random points (Halton, seed 7) in [-4a, 4a]^3 minus the
+    origin ball and a tube around the drift jump set."""
+    eng = qmc.Halton(d=3, seed=7)
     pts = (eng.random(3 * n) - 0.5) * 8 * p.a
     r = np.linalg.norm(pts, axis=1)
     keep = r > 0.05 * p.a
@@ -81,13 +81,13 @@ def identity_residuals(p: PhysParams, n=10_000):
     return float(np.max(en)), float(np.max(orth))
 
 
-def criterion_1(n=10_000):
+def criterion_1():
     """Identity suite: energy residual and gradient orthogonality."""
     t0 = time.time()
     worst_en, worst_orth = 0.0, 0.0
     for e in ECCS:
         en, orth = identity_residuals(PhysParams(lam=1.0, mu=1.0, ecc=e,
-                                                 eps=0.1), n)
+                                                 eps=0.1))
         worst_en = max(worst_en, en)
         worst_orth = max(worst_orth, orth)
     ok = worst_en < IDENTITY_ENERGY_TOL and worst_orth < IDENTITY_ORTH_TOL
@@ -144,14 +144,13 @@ def criterion_3():
         "(<1e-8)", time.time() - t0)
 
 
-def criterion_4(seed=11):
+def criterion_4():
     """Stationary angular marginal and z-spread at eps = 0.05."""
     t0 = time.time()
     p = PhysParams(ecc=0.5, eps=0.05)
-    burn = 24.0
-    cfg = sde.SimConfig(params=p, dt=1e-3, n_steps=216_000, n_paths=64,
-                        seed=seed, record_stride=12, compute_jump_dist=False)
-    ens = sde.simulate_ensemble(cfg)
+    burn = sde.MARGINAL_BURN_IN
+    ens = sde.simulate_ensemble(sde.SimConfig.marginal(
+        p, seed=11, samples=1_024_000))
     marg = measure.empirical_marginal(ens, bins=64, burn_in=burn)
     l1 = marg.l1_distance(p.ecc)
     ok_l1 = marg.total >= 1_000_000 and l1 < 0.05
@@ -164,15 +163,12 @@ def criterion_4(seed=11):
         f"{zdev:.3f} (<0.20, Gaussian convention)", time.time() - t0)
 
 
-def criterion_5(seed=1):
+def criterion_5():
     """Trajectory-convergence reproduction at the stated thresholds."""
     t0 = time.time()
     p = PhysParams(ecc=0.5, eps=0.1)
-    cfg = sde.SimConfig(params=p, dt=1e-3, n_steps=50_000, n_paths=256,
-                        seed=seed, x0=sde.RingStart(3 * p.a),
-                        record_stride=50, compute_jump_dist=False)
-    ens = sde.simulate_ensemble(cfg)
-    frac = float(ens.converged_mask().mean())
+    ens = sde.simulate_ensemble(sde.SimConfig.figure1(p, seed=1))
+    frac = float(ens.converged_mask()[:, -1].mean())
     ok = frac >= 0.95
     return CriterionResult(
         "C5", "trajectory convergence (qualitative reproduction)", ok,
@@ -180,11 +176,11 @@ def criterion_5(seed=1):
         "analysis predicts ~0.92)", time.time() - t0)
 
 
-def criterion_6(seed=3):
+def criterion_6():
     """Finite-degree convergence chain toward the closed-form fields."""
     t0 = time.time()
     p = PhysParams(ecc=0.5, eps=0.1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     pts = []
     while len(pts) < 20:
         q = rng.uniform(-3, 3, 3)
@@ -236,7 +232,7 @@ def _model_grid(p: PhysParams, n=None):
     return spectral.production_grid_2d(p, n=n)
 
 
-def criterion_7(seed=21):
+def criterion_7():
     """Spectral suite: controls, production gaps, estimator agreement."""
     t0 = time.time()
     lines = []
@@ -276,13 +272,11 @@ def criterion_7(seed=21):
     worst_ratio = 1.0
     for e in (0.3, 0.5):
         for eps in (0.2, 0.3):
-            p = PhysParams(ecc=e, eps=eps)
             res = matrix_gap(e, eps)
-            cfg = sde.SimConfig(params=p, dt=1e-3, n_steps=240_000,
-                                n_paths=64, seed=seed, record_stride=20,
-                                compute_jump_dist=False)
-            ens = sde.simulate_ensemble(cfg)
-            ac = spectral.gap_from_autocorrelation(ens, burn_in=20.0)
+            ens = sde.simulate_ensemble(sde.SimConfig.autocorrelation(
+                PhysParams(ecc=e, eps=eps), seed=21))
+            ac = spectral.gap_from_autocorrelation(
+                ens, burn_in=sde.AUTOCORR_BURN_IN)
             ratio = max(ac.gamma / res.gap, res.gap / ac.gamma)
             worst_ratio = max(worst_ratio, ratio)
     ok &= worst_ratio <= 2.0

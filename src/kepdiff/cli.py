@@ -117,6 +117,13 @@ def _parse_floats(flag, text, count):
     return vals
 
 
+def _at_least_one(name, value):
+    """value, which must be >= 1; ConfigError otherwise."""
+    if not value >= 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -125,18 +132,18 @@ def cmd_field(args):
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
     if args.check_identities:
-        n = args.n or 10_000
+        n = 10_000 if args.n is None else _at_least_one("--n", args.n)
         en, orth = acceptance.identity_residuals(p, n)
         print(json.dumps({"config": p.as_dict(), "n_points": n,
                           "max_energy_residual": en,
                           "max_orthogonality": orth}, sort_keys=True))
         return 0 if (en < acceptance.IDENTITY_ENERGY_TOL
                      and orth < acceptance.IDENTITY_ORTH_TOL) else 1
-    if args.grid:
+    if args.grid is not None:
+        n = _at_least_one("--grid", args.grid)
         if not args.box:
             raise ConfigError("--grid needs --box x0,x1,y0,y1")
         x0, x1, y0, y1 = _parse_floats("--box", args.box, 4)
-        n = args.grid
         xs = np.linspace(x0, x1, n)
         ys = np.linspace(y0, y1, n)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -163,18 +170,13 @@ def cmd_field(args):
     return 0
 
 
-def _figure1_config(p, seed):
-    return sde.SimConfig(params=p, dt=1e-3, n_steps=50_000, n_paths=256,
-                         seed=seed, x0=sde.RingStart(3 * p.a),
-                         record_stride=50)
-
-
 def cmd_simulate(args):
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
     out_dir, prefix = _out_dir(cfg, args)
 
     if args.deterministic:
+        _at_least_one("--n-periods", args.n_periods)
         period, _ = sde.deterministic_orbit(p, n_periods=args.n_periods)
         theory = 2 * math.pi * math.sqrt(p.a ** 3 / p.mu)
         report = {"config": {"params": p.as_dict(), "mode": "deterministic",
@@ -188,9 +190,9 @@ def cmd_simulate(args):
         return 0
 
     if args.figure1:
-        sim = _figure1_config(p, args.seed)
         if args.seed is None:
             raise ConfigError("--figure1 requires --seed")
+        sim = sde.SimConfig.figure1(p, args.seed)
     else:
         sim = _sim_config(cfg, args, p)
     ens = sde.simulate_ensemble(sim)
@@ -210,6 +212,7 @@ def cmd_simulate(args):
 def cmd_measure(args):
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
+    _at_least_one("--bins", args.bins)
     out_dir, prefix = _out_dir(cfg, args)
     did = False
     if args.widths:
@@ -224,18 +227,11 @@ def cmd_measure(args):
         if args.seed is None:
             raise ConfigError("--marginal requires --seed")
         samples = int(_parse_floats("--samples", args.samples, 1)[0])
-        n_paths = 64
-        stride = 12
-        burn = 24.0
-        dt = 1e-3
-        per_path = math.ceil(samples / n_paths)
-        n_steps = int(burn / dt) + per_path * stride
-        sim = sde.SimConfig(params=p, dt=dt, n_steps=n_steps,
-                            n_paths=n_paths, seed=args.seed,
-                            record_stride=stride, compute_jump_dist=False)
+        burn = sde.MARGINAL_BURN_IN
+        sim = sde.SimConfig.marginal(p, args.seed, samples)
         # truncated paths can only lower this bound, so it is checked
         # again on the ensemble
-        most = n_paths * int(np.count_nonzero(sim.record_times() >= burn))
+        most = sim.n_paths * int(np.count_nonzero(sim.record_times() >= burn))
         if most < measure.MIN_MARGINAL_SAMPLES:
             raise InsufficientSamplesError(
                 f"--samples {samples} yields at most {most} post-burn-in "
@@ -286,26 +282,29 @@ def cmd_spectral(args):
         return 0
     if not args.gap:
         raise ConfigError("spectral wants --gap or --scan")
+    if not args.no_autocorr and args.seed is None:
+        raise ConfigError("--gap with autocorrelation requires --seed "
+                          "(pass --no-autocorr to skip)")
     gsec = cfg.get("grid", {})
-    dim = args.dim or gsec.get("dim", 2)
+    dim = gsec.get("dim", 2) if args.dim is None else args.dim
+    n = gsec.get("n") if args.n is None else args.n
+    if dim not in (1, 2, 3):
+        raise ConfigError(f"grid dim must be 1, 2 or 3, got {dim!r}")
+    if n is not None:
+        _at_least_one("grid n", n)
     if dim == 2:
-        grid = spectral.production_grid_2d(p, n=args.n or gsec.get("n"))
+        grid = spectral.production_grid_2d(p, n=n)
     else:
-        grid = spectral.default_grid(p, dim=dim,
-                                     n=args.n or gsec.get("n"))
+        grid = spectral.default_grid(p, dim=dim, n=n)
     G = spectral.build_generator(p, grid)
     res = spectral.gap_from_matrix(G)
     report = {"params": p.as_dict(), "grid": grid.as_dict(),
               **res.as_dict()}
     if not args.no_autocorr:
-        if args.seed is None:
-            raise ConfigError("--gap with autocorrelation requires --seed "
-                              "(pass --no-autocorr to skip)")
-        sim = sde.SimConfig(params=p, dt=1e-3, n_steps=240_000, n_paths=64,
-                            seed=args.seed, record_stride=20,
-                            compute_jump_dist=False)
-        ens = sde.simulate_ensemble(sim)
-        ac = spectral.gap_from_autocorrelation(ens, burn_in=20.0)
+        ens = sde.simulate_ensemble(
+            sde.SimConfig.autocorrelation(p, args.seed))
+        ac = spectral.gap_from_autocorrelation(
+            ens, burn_in=sde.AUTOCORR_BURN_IN)
         report.update(ac.as_dict())
         report["agreement_ratio"] = max(ac.gamma / res.gap,
                                         res.gap / ac.gamma)

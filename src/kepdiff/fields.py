@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from .params import BranchPointWarning, PhysParams, SingularPointError
@@ -38,9 +37,6 @@ ORIGIN_TOL = 1e-12
 
 #: Polyline points per jump-set boundary curve in :func:`jump_distance_many`.
 JUMP_MESH = 2048
-
-#: Coarse samples per boundary curve in the scalar :func:`jump_distance`.
-JUMP_COARSE = 4001
 
 
 def as_points(pt):
@@ -76,7 +72,7 @@ def nodal_coordinate(p: PhysParams, pt):
         r - pt[..., 0] / e - 1j * pt[..., 1] * np.sqrt(1 - e * e) / e)
 
 
-def drift_root(p: PhysParams, pt, warn_branch=True):
+def drift_root(p: PhysParams, pt):
     """Principal square root w = sqrt(1 - 4/nu) of the nodal coordinate.
 
     alpha = Re w >= 0 and beta = Im w are the two scalars that assemble
@@ -86,7 +82,7 @@ def drift_root(p: PhysParams, pt, warn_branch=True):
     if np.any(nu == 0):
         raise SingularPointError("nodal coordinate vanished (focal ray)")
     arg = 1 - 4 / nu
-    if warn_branch and np.any(np.abs(arg) < 1e-12):
+    if np.any(np.abs(arg) < 1e-12):
         warnings.warn("evaluation at the branch point of the drift root",
                       BranchPointWarning, stacklevel=2)
     return np.sqrt(arg)
@@ -289,53 +285,13 @@ def near_jump_set(p: PhysParams, pts, tol):
     return (np.abs(y) <= tol) & in_jump_set(p, x, z, pad=pad)
 
 
-def _plane_boundary_distance(p: PhysParams, x, z):
-    """Planar distance from (x, z) to the jump-set boundary curves.
-
-    A coarse scan of both curves, then Brent's bounded minimiser on each
-    curve between the coarse minimum's neighbours.
-    """
-    x = float(x)
-    z = float(z)
-    span = max(4 * p.a, 2 * abs(z) + 4 * p.a)
-    zs = np.linspace(z - span, z + span, JUMP_COARSE)
-    left, right = jump_interval(p, zs)
-    d2 = np.minimum((x - left) ** 2 + (z - zs) ** 2,
-                    (x - right) ** 2 + (z - zs) ** 2)
-    k = int(np.argmin(d2))
-    bounds = (zs[max(k - 2, 0)], zs[min(k + 2, JUMP_COARSE - 1)])
-    best = d2[k]
-    for side in (0, 1):
-        res = minimize_scalar(
-            lambda t: (x - jump_interval(p, t)[side]) ** 2 + (z - t) ** 2,
-            bounds=bounds, method="bounded", options={"xatol": 1e-12})
-        best = min(best, res.fun)
-    return float(np.sqrt(best))
-
-
-def jump_distance(p: PhysParams, pt):
-    """Euclidean distance from a point to (the closure of) the jump set.
-
-    Zero inside the set.  A single (3,) point gets the high-accuracy
-    scalar search; an array of points goes to :func:`jump_distance_many`.
-    """
-    pt = as_points(pt)
-    if pt.ndim == 1:
-        x, y, z = pt
-        if in_jump_set(p, x, z):
-            return abs(y)
-        return float(np.hypot(_plane_boundary_distance(p, x, z), y))
-    return jump_distance_many(p, pt)
-
-
 def jump_distance_many(p: PhysParams, pts):
-    """Vectorised jump-set distance via a boundary polyline.
+    """Euclidean distance from points to (the closure of) the jump set.
 
-    The planar part is the distance to the nearest vertex of a
-    JUMP_MESH-point polyline along each boundary curve, found with a
-    k-d tree.  Accuracy is set by the polyline resolution (plenty for
-    diagnostics; use :func:`jump_distance` for scalar high-accuracy
-    queries).
+    Zero inside the set.  The planar part is the distance to the nearest
+    vertex of a JUMP_MESH-point polyline along each boundary curve,
+    found with a k-d tree; its accuracy is set by the polyline
+    resolution, plenty for the recorded diagnostics.
     """
     pts = as_points(pts)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]

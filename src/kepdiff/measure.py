@@ -5,9 +5,9 @@ with R the scaled log-amplitude: a ridge of constant height over the
 attracting ellipse with Gaussian cross-sections of width O(eps).  This
 module carries the closed form and the ODE form of the tangential
 factor, the angular weight produced by the two-fold Laplace reduction of
-volume integrals, the cross-section widths, asymptotic expectations on
-the ellipse, the log-density used by the spectral module, and the
-empirical angular marginal extracted from simulated ensembles.
+volume integrals, the cross-section widths, the log-density used by the
+spectral module, and the empirical angular marginal extracted from
+simulated ensembles.
 
 Width conventions.  The effective widths returned by
 :func:`cross_section_widths` are eps |R''|^{-1/2} in the scaled field;
@@ -33,8 +33,7 @@ from .specfun import log_amplitude
 #: effective width eps |R''|^{-1/2}.  Frozen; see module docstring.
 GAUSS_WIDTH_FACTOR = 1.0 / math.sqrt(2.0)
 
-#: Absolute tolerance of the in-repo quadrature behind the ODE form of
-#: T and the ellipse averages.
+#: Absolute tolerance of the in-repo quadrature behind the ODE form of T.
 QUAD_TOL = 1e-12
 
 #: Eccentric-angle windows of :func:`z_spread_by_angle`, and the fewest
@@ -67,31 +66,20 @@ def tangential_log_slope(e, v):
     return -2 * e * e * np.sin(2 * v) / (1 + e ** 4 - 2 * e * e * np.cos(2 * v))
 
 
-def tangential_factor_ode(e, v):
-    """T(v) by integrating the log-slope from 0 with T(0) = 1.
+def tangential_factor_ode_grid(e, vs):
+    """T on a non-decreasing grid by integrating the log-slope from 0
+    with T(0) = 1, one quadrature per grid segment.
 
     Independent of the closed form; matches it to 1e-8 or better.
     """
     _check_ecc(e)
-    return math.exp(adaptive_quad(lambda t: float(tangential_log_slope(e, t)),
-                                  0.0, float(v), tol=QUAD_TOL))
-
-
-def tangential_factor_ode_grid(e, vs):
-    """ODE-integrated T on an increasing grid (cumulative segments)."""
-    _check_ecc(e)
     vs = np.asarray(vs, dtype=float)
     if np.any(np.diff(vs) < 0):
         raise ConfigError("grid must be non-decreasing")
-    out = np.empty_like(vs)
-    acc = adaptive_quad(lambda t: float(tangential_log_slope(e, t)),
-                        0.0, float(vs[0]), tol=QUAD_TOL)
-    out[0] = acc
-    for k in range(1, len(vs)):
-        acc += adaptive_quad(lambda t: float(tangential_log_slope(e, t)),
-                             float(vs[k - 1]), float(vs[k]), tol=QUAD_TOL)
-        out[k] = acc
-    return np.exp(out)
+    segs = [adaptive_quad(lambda t: float(tangential_log_slope(e, t)),
+                          lo, hi, tol=QUAD_TOL)
+            for lo, hi in zip([0.0, *vs[:-1].tolist()], vs.tolist())]
+    return np.exp(np.cumsum(segs))
 
 
 def laplace_weight(e, v):
@@ -117,22 +105,6 @@ def laplace_weight_integral(e):
                 + (1 + e * e) * ellipe(xi_p ** 2))
 
 
-def ridge_hessian(p: PhysParams, v):
-    """On-ellipse Hessian entries of the log-amplitude in (u, v, z).
-
-    Returns (R_uu, R_zz) at eccentric angle v (the v-v entry vanishes on
-    the ridge):
-        R_uu = -lam (1 + e^2 + 2 e cos v) / (4 e^2 eps^2 (1-e^2))
-        R_zz = -mu^2 / (eps^2 lam^3 (1 + e^2 - 2 e cos v))
-    """
-    v = np.asarray(v, dtype=float)
-    e = p.ecc
-    r_uu = -p.lam * (1 + e * e + 2 * e * np.cos(v)) \
-        / (4 * e * e * p.eps ** 2 * (1 - e * e))
-    r_zz = -p.mu ** 2 / (p.eps ** 2 * p.lam ** 3 * (1 + e * e - 2 * e * np.cos(v)))
-    return r_uu, r_zz
-
-
 def cross_section_widths(p: PhysParams, v):
     """Effective widths of the stationary ridge at eccentric angle v.
 
@@ -153,21 +125,6 @@ def cross_section_widths(p: PhysParams, v):
     return sigma_n, sigma_z
 
 
-def ellipse_average(p: PhysParams, f):
-    """Stationary expectation of f(v) on the ellipse in the small-noise
-    limit: (1/2 pi) integral f(v) (1 - e cos v) dv."""
-    e = p.ecc
-    val = adaptive_quad(lambda v: f(v) * (1 - e * math.cos(v)),
-                        0.0, 2 * math.pi, tol=QUAD_TOL)
-    return val / (2 * math.pi)
-
-
-def angular_marginal_density(e, v):
-    """Stationary density of the eccentric angle, (1 - e cos v)/(2 pi)."""
-    v = np.asarray(v, dtype=float)
-    return (1 - e * np.cos(v)) / (2 * np.pi)
-
-
 def log_invariant_density(p: PhysParams, pt):
     """log of the (unnormalised) stationary density ansatz at a point.
 
@@ -181,21 +138,6 @@ def log_invariant_density(p: PhysParams, pt):
     else:
         _, v, _ = to_elliptic(p, pt)
     return 2.0 * log_amplitude(p, pt) + np.log(tangential_factor(p.ecc, v))
-
-
-@dataclass
-class EllipseDensity:
-    """Bundle of the on-ellipse density ingredients for one parameter set."""
-
-    params: PhysParams
-
-    @property
-    def normalization(self):
-        """Half the full-turn integral of the Laplace weight."""
-        return laplace_weight_integral(self.params.ecc) / 2
-
-    def T_of_v(self, v):
-        return tangential_factor(self.params.ecc, v)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +199,7 @@ def empirical_marginal(ens, bins: int, burn_in: float) -> EmpiricalMarginal:
     Truncated paths are excluded.  Requires at least
     MIN_MARGINAL_SAMPLES post-burn-in samples.
     """
-    keep_t = ens.times >= burn_in
-    keep_p = ~ens.truncated
-    v = ens.v[np.ix_(keep_p, keep_t)]
+    _, v, _ = ens.stationary_samples(burn_in)
     if v.size < MIN_MARGINAL_SAMPLES:
         raise InsufficientSamplesError(
             f"need >= {MIN_MARGINAL_SAMPLES} post-burn-in samples, "
@@ -274,10 +214,8 @@ def z_spread_by_angle(ens, p: PhysParams, burn_in: float):
     Returns (window centers, empirical std, predicted Gaussian std).
     The prediction applies GAUSS_WIDTH_FACTOR to the effective width.
     """
-    keep_t = ens.times >= burn_in
-    keep_p = ~ens.truncated
-    v = ens.v[np.ix_(keep_p, keep_t)].ravel()
-    z = ens.pos[np.ix_(keep_p, keep_t)][..., 2].ravel()
+    _, v, pos = ens.stationary_samples(burn_in)
+    v, z = v.ravel(), pos[..., 2].ravel()
     edges = np.linspace(0.0, 2 * np.pi, Z_SPREAD_WINDOWS + 1)
     centers, emp, pred = [], [], []
     for k in range(Z_SPREAD_WINDOWS):

@@ -8,7 +8,9 @@ the unchecked kernels :func:`fields.drift_components` and
 drift with an adaptive ODE solver.  Paths that fall into the origin
 ball, or whose step leaves the finite numbers, are truncated (kept
 frozen and flagged), never aborted, and excluded from stationary
-statistics.
+statistics.  The production ensembles (the autocorrelation, marginal
+and figure-1 runs) are built by the :class:`SimConfig` class methods
+of the same names, the one place each run recipe is written down.
 
 The ensemble step loop vectorises across paths and is bound by the
 number of numpy calls per step, not by arithmetic: the state is one
@@ -35,7 +37,7 @@ from scipy.integrate import solve_ivp
 
 from .fields import (drift_components, elliptic_uv, in_jump_set,
                      jump_distance_many)
-from .params import ConfigError, ConvergenceError, PhysParams, SingularPointError
+from .params import ConfigError, ConvergenceError, PhysParams
 
 #: Convergence-tube half-widths used by the diagnostics (acceptance
 #: parameters: a path counts as converged when |u - e| < CONV_U_TOL and
@@ -49,6 +51,11 @@ _NOISE_CHUNK = 2048
 #: once it holds this many points (the step that crosses the limit
 #: still adds all of its points).
 MAX_CAP_REJECT_POINTS = 10_000
+
+#: Time discarded from the start of the autocorrelation and the
+#: marginal ensembles before their statistics are taken.
+AUTOCORR_BURN_IN = 20.0
+MARGINAL_BURN_IN = 24.0
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,31 @@ class SimConfig:
         if not np.all(np.isfinite(self.start_points())):
             raise ConfigError("start points must be finite")
 
+    @classmethod
+    def autocorrelation(cls, p: PhysParams, seed):
+        """The autocovariance-gap ensemble: 64 paths of 240k steps of
+        1e-3, every 20th recorded, no jump distances."""
+        return cls(params=p, dt=1e-3, n_steps=240_000, n_paths=64, seed=seed,
+                   record_stride=20, compute_jump_dist=False)
+
+    @classmethod
+    def marginal(cls, p: PhysParams, seed, samples):
+        """The angular-marginal ensemble: 64 paths recording every 12th
+        step of 1e-3, run MARGINAL_BURN_IN and then ceil(samples / 64)
+        records further, no jump distances."""
+        n_paths, stride, dt = 64, 12, 1e-3
+        n_steps = int(MARGINAL_BURN_IN / dt) \
+            + math.ceil(samples / n_paths) * stride
+        return cls(params=p, dt=dt, n_steps=n_steps, n_paths=n_paths,
+                   seed=seed, record_stride=stride, compute_jump_dist=False)
+
+    @classmethod
+    def figure1(cls, p: PhysParams, seed):
+        """The showcase ensemble: 256 paths from a ring at 3a, 50k steps
+        of 1e-3, every 50th recorded."""
+        return cls(params=p, dt=1e-3, n_steps=50_000, n_paths=256, seed=seed,
+                   x0=RingStart(3 * p.a), record_stride=50)
+
     def start_points(self) -> np.ndarray:
         if isinstance(self.x0, RingStart):
             return self.x0.points(self.n_paths)
@@ -164,38 +196,19 @@ class TrajectoryEnsemble:
     def record_dt(self):
         return self.config.dt * self.config.record_stride
 
-    def converged_mask(self, k=-1):
+    def converged_mask(self):
+        """(n_paths, n_rec) mask of the records inside the convergence
+        tube |u - e| < CONV_U_TOL, |z| < CONV_Z_TOL; truncated paths are
+        never inside."""
         e = self.config.params.ecc
-        return (np.abs(self.u[:, k] - e) < CONV_U_TOL) \
-            & (np.abs(self.pos[:, k, 2]) < CONV_Z_TOL) & ~self.truncated
+        return (np.abs(self.u - e) < CONV_U_TOL) \
+            & (np.abs(self.pos[..., 2]) < CONV_Z_TOL) \
+            & ~self.truncated[:, None]
 
     def stationary_samples(self, burn_in):
         """(u, v, pos) samples past burn_in from non-truncated paths."""
-        keep_t = self.times >= burn_in
-        keep_p = ~self.truncated
-        ix = np.ix_(keep_p, keep_t)
-        return self.u[ix], self.v[ix], self.pos[np.ix_(keep_p, keep_t)]
-
-
-def step(cfg: SimConfig, x, gauss):
-    """One Euler-Maruyama step from a single point.
-
-    x + b(x) dt + eps sqrt(dt) gauss, with the drift rescaled to
-    magnitude drift_cap when it exceeds the cap.  Raises within
-    1e-8 a of the origin, where the drift blows up.
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    gauss = np.asarray(gauss, dtype=float).reshape(3)
-    p = cfg.params
-    r = float(np.linalg.norm(x))
-    if r < 1e-8 * p.a:
-        raise SingularPointError("step requested inside the origin ball")
-    bx, by, bz = drift_components(p, x[0], x[1], x[2])
-    b = np.array([bx, by, bz])
-    nb = float(np.linalg.norm(b))
-    if nb > cfg.drift_cap:
-        b *= cfg.drift_cap / nb
-    return x + b * cfg.dt + p.eps * math.sqrt(cfg.dt) * gauss
+        ix = np.ix_(~self.truncated, self.times >= burn_in)
+        return self.u[ix], self.v[ix], self.pos[ix]
 
 
 def _path_generators(seed, n_paths):
@@ -371,36 +384,11 @@ def areal_velocity(ens: TrajectoryEnsemble):
     return (x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:]) / (2 * dt)
 
 
-def orbital_period(ens: TrajectoryEnsemble, path=0):
-    """Orbit period measured by winding of the eccentric angle.
-
-    Unwraps the recorded angle of one path, counts whole turns and
-    interpolates the crossing time of the last complete turn.
-    """
-    v = np.unwrap(ens.v[path])
-    t = ens.times
-    total = v[-1] - v[0]
-    n_turn = int(abs(total) // (2 * np.pi))
-    if n_turn < 1:
-        raise ConfigError("path did not complete a full turn")
-    target = v[0] + np.sign(total) * 2 * np.pi * n_turn
-    k = int(np.searchsorted(v if total > 0 else -v,
-                            target if total > 0 else -target))
-    k = min(max(k, 1), len(v) - 1)
-    frac = (target - v[k - 1]) / (v[k] - v[k - 1])
-    t_cross = t[k - 1] + frac * (t[k] - t[k - 1])
-    return (t_cross - t[0]) / n_turn
-
-
 def kepler_diagnostics(ens: TrajectoryEnsemble, p: PhysParams) -> dict:
     """Summary report: convergence fractions, areal velocity, counters."""
     if ens.n_paths == 0:
         raise ConfigError("empty ensemble")
-    e = p.ecc
-    conv = (np.abs(ens.u - e) < CONV_U_TOL) \
-        & (np.abs(ens.pos[..., 2]) < CONV_Z_TOL) \
-        & ~ens.truncated[:, None]
-    frac_t = conv.mean(axis=0)
+    frac_t = ens.converged_mask().mean(axis=0)
     half = ens.times >= 0.5 * ens.times[-1]
     av = areal_velocity(ens)[:, half[1:]]
     return {
@@ -415,7 +403,7 @@ def kepler_diagnostics(ens: TrajectoryEnsemble, p: PhysParams) -> dict:
         "mean_abs_z_final": float(np.mean(np.abs(
             ens.pos[~ens.truncated][:, half][..., 2]))),
         "truncated_paths": int(np.sum(ens.truncated)),
-        "interior_starts": int(np.sum(ens.start_u > e)),
+        "interior_starts": int(np.sum(ens.start_u > p.ecc)),
         "cap_rejections": int(np.sum(ens.cap_rejections)),
         "jump_crossings": int(np.sum(ens.jump_crossings)),
     }

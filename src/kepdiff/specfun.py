@@ -38,11 +38,6 @@ class PolyEval:
     overflow_scaled: bool = False
     exponent: int = 0
 
-    def unscaled(self):
-        """(value, derivative) with the exponent applied; may overflow."""
-        f = 2.0 ** self.exponent
-        return self.value * f, self.derivative * f
-
 
 def laguerre(n: int, z: complex) -> PolyEval:
     """Laguerre polynomial and derivative by the three-term recurrence.

@@ -663,9 +663,8 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
     if f is None:
         f = default_bump(p)
     h = grid.h
-    X, Y = grid.mesh()
-    pts = np.stack([X, Y, np.zeros_like(X)], axis=-1)
-    F = f(pts[..., :2])
+    pts = np.stack(grid.mesh(), axis=-1)
+    F = f(pts)
     edge = max(np.max(np.abs(F[0])), np.max(np.abs(F[-1])),
                np.max(np.abs(F[:, 0])), np.max(np.abs(F[:, -1])))
     if edge != 0 and np.ptp(F) != 0:
@@ -677,16 +676,9 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
     fy = (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * h)
     lap = (F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]
            - 4 * C) / (h * h)
-    Xi, Yi = X[1:-1, 1:-1], Y[1:-1, 1:-1]
-    with np.errstate(all="ignore"):
-        bx, by, _ = drift_components(p, Xi, Yi, np.zeros_like(Xi))
-        lw = log_invariant_density(
-            p, pts[1:-1, 1:-1].reshape(-1, 3)).reshape(Xi.shape)
-    bx = np.nan_to_num(bx)
-    by = np.nan_to_num(by)
-    lw = np.where(np.isfinite(lw), lw, -np.inf)
-    w = np.exp(lw - np.max(lw))
-    w /= w.sum()
+    nodes = pts[1:-1, 1:-1].reshape(-1, 2)
+    bx, by = _model_drift_nd(p, nodes, 2).T.reshape(2, *C.shape)
+    w = _model_weight(p, nodes, 2).reshape(C.shape)
     Gf = 0.5 * p.eps ** 2 * lap + bx * fx + by * fy
     lhs = -float(np.sum(w * C * Gf))
     rhs = 0.5 * p.eps ** 2 * float(np.sum(w * (fx * fx + fy * fy)))
@@ -737,12 +729,14 @@ def _log_T_hat(p: PhysParams, x, y):
     return np.log(tangential_factor(p.ecc, v))
 
 
-def grad_log_tangential(p: PhysParams, pts, h=None):
-    """Central-difference gradient of ln T(v(x, y)); z-component is zero."""
+def grad_log_tangential(p: PhysParams, pts):
+    """Central-difference gradient of ln T(v(x, y)); z-component is zero.
+
+    The step is 1e-6 times the larger of a and the largest |x|.
+    """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     r = np.sqrt(np.sum(pts * pts, axis=1))
-    if h is None:
-        h = 1e-6 * max(p.a, float(np.max(r)))
+    h = 1e-6 * max(p.a, float(np.max(r)))
     gx = (_log_T_hat(p, pts[:, 0] + h, pts[:, 1])
           - _log_T_hat(p, pts[:, 0] - h, pts[:, 1])) / (2 * h)
     gy = (_log_T_hat(p, pts[:, 0], pts[:, 1] + h)
@@ -784,14 +778,17 @@ class RadialScan:
         return self.radii, self.max_gu, np.full(len(self.radii), self.bound)
 
 
-def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig, radii,
-                        n_angles=48, include_T=True) -> RadialScan:
+def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig,
+                        radii) -> RadialScan:
     """Scan G_u |x| = (eps^2/2|x|)(2 + 2 grad R . x + grad ln T . x).
 
-    Evaluates the osmotic generator applied to the radius on angular
-    meshes per radius.  Reports the per-radius maximum, the smallest
-    radius past which the maximum stays below -eps^2 C_tilde/2, and the
-    large-radius limit diagnostic (eps^2/r)(1 + grad R . x) -> -mu/lam.
+    Evaluates the osmotic generator applied to the radius on a 48 x 48
+    (polar x azimuth) cell-centred mesh of each sphere.  Reports the
+    per-radius maximum of G_u |x| and, separately, of its drift part
+    (eps^2/r)(1 + grad R . x), whose large-radius limit is -mu/lam; the
+    smallest scanned radius past which the maximum stays below
+    -eps^2 C_tilde/2; and the largest |grad ln T| met on spheres of
+    radius >= cfg.r0.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
@@ -801,17 +798,14 @@ def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig, radii,
     eps_part = np.empty(len(radii))
     sup_gT = 0.0
     for k, r in enumerate(radii):
-        pts = _sphere_mesh(r, n_angles)
+        pts = _sphere_mesh(r, 48)
         grad_r, _ = wave_gradients(p, pts)
         gr_dot = np.sum(grad_r * pts, axis=1)
         part = (e2 / r) * (1.0 + gr_dot)   # (eps^2/2r)(2 + 2 grad R . x)
-        gu = part.copy()
-        if include_T:
-            gT = grad_log_tangential(p, pts)
-            if r >= cfg.r0:
-                sup_gT = max(sup_gT,
-                             float(np.max(np.linalg.norm(gT, axis=1))))
-            gu = gu + (e2 / (2 * r)) * np.sum(gT * pts, axis=1)
+        gT = grad_log_tangential(p, pts)
+        if r >= cfg.r0:
+            sup_gT = max(sup_gT, float(np.max(np.linalg.norm(gT, axis=1))))
+        gu = part + (e2 / (2 * r)) * np.sum(gT * pts, axis=1)
         max_gu[k] = float(np.max(gu))
         eps_part[k] = float(np.max(part))
     bound = -e2 * cfg.C_tilde / 2

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kepdiff import PhysParams, SimConfig, simulate_ensemble
 
@@ -33,3 +36,11 @@ def random_points(n, seed, lo=-4.0, hi=4.0, min_r=0.3, min_y=0.05):
         if np.linalg.norm(q) > min_r and abs(q[1]) > min_y:
             out.append(q)
     return np.array(out)
+
+
+def ellipse_average(p, f):
+    """Small-noise stationary expectation of f(v) on the ellipse,
+    (1/2 pi) int f(v) (1 - e cos v) dv (test oracle)."""
+    val, _ = quad(lambda v: f(v) * (1 - p.ecc * math.cos(v)), 0.0,
+                  2 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val / (2 * math.pi)

@@ -209,8 +209,23 @@ def test_verify_quick(capsys):
     ("spectral", "--scan", "--radii", "1,x"),
     ("measure", "--marginal", "--samples", "abc", "--seed", "1"),
     ("measure", "--marginal", "--samples", "100", "--seed", "1"),
+    ("simulate", "--deterministic", "--n-periods", "0"),
+    ("simulate", "--deterministic", "--n-periods", "-1"),
+    ("field", "--grid", "-2", "--box", "0,1,0,1"),
+    ("field", "--check-identities", "--n", "-5"),
+    ("measure", "--widths", "--bins", "-3"),
+    ("measure", "--marginal", "--bins", "0", "--seed", "1"),
+    ("spectral", "--gap", "--no-autocorr", "--dim", "4"),
+    ("spectral", "--gap", "--no-autocorr", "--config", {"grid": {"dim": 4}}),
+    ("spectral", "--gap", "--no-autocorr", "--dim", "0"),
 ])
 def test_malformed_input_exit_code(capsys, tmp_path, argv):
+    # a dict stands for a config document, passed as its file's path
+    cfg = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            write_json(cfg, arg)
+    argv = [str(cfg) if isinstance(arg, dict) else arg for arg in argv]
     code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 2
     assert "config error" in err

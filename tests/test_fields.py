@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from kepdiff import (BranchPointWarning, PhysParams, SingularPointError,
                      alpha_beta, complex_velocity, drift, drift_root,
-                     ellipse_point, ellipse_tangent, jump_distance,
-                     jump_distance_many, jump_interval, in_jump_set,
-                     kepler_speed, nodal_coordinate, wave_gradients)
+                     ellipse_point, ellipse_tangent, jump_distance_many,
+                     jump_interval, in_jump_set, kepler_speed,
+                     nodal_coordinate, wave_gradients)
 from kepdiff.fields import JUMP_MESH, FieldSample, near_jump_set
 
 from conftest import random_points
@@ -111,7 +113,9 @@ def test_alpha_beta_near_jump_set(ecc):
     pp = PhysParams(ecc=ecc)
     pts = _near_jump_set_points(pp, 2000, seed=31, log_y_min=-12.0)
     al, be = alpha_beta(pp, pts)
-    w = drift_root(pp, pts, warn_branch=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchPointWarning)
+        w = drift_root(pp, pts)
     np.testing.assert_allclose(al + 1j * be, w, rtol=1e-10, atol=0)
 
 
@@ -289,6 +293,32 @@ def test_jump_interval_midplane(p):
     left, right = jump_interval(p, 0.0)
     assert left == pytest.approx(-4.0 / 3.0)    # -4 a e / (1 + e)
     assert right == pytest.approx(0.0)
+
+
+def jump_distance(p, pt):
+    """Distance from one point to (the closure of) the jump set (test
+    oracle, zero inside the set).
+
+    A scan of 4001 heights on both boundary curves, then Brent's bounded
+    minimiser on each curve between the scan minimum's neighbours.
+    """
+    x, y, z = map(float, pt)
+    if in_jump_set(p, x, z):
+        return abs(y)
+    span = max(4 * p.a, 2 * abs(z) + 4 * p.a)
+    zs = np.linspace(z - span, z + span, 4001)
+    left, right = jump_interval(p, zs)
+    d2 = np.minimum((x - left) ** 2 + (z - zs) ** 2,
+                    (x - right) ** 2 + (z - zs) ** 2)
+    k = int(np.argmin(d2))
+    bounds = (zs[max(k - 2, 0)], zs[min(k + 2, zs.size - 1)])
+    best = d2[k]
+    for side in (0, 1):
+        res = minimize_scalar(
+            lambda t: (x - jump_interval(p, t)[side]) ** 2 + (z - t) ** 2,
+            bounds=bounds, method="bounded", options={"xatol": 1e-12})
+        best = min(best, res.fun)
+    return float(np.hypot(np.sqrt(best), y))
 
 
 def test_jump_distance_inside(p):

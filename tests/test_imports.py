@@ -1,9 +1,11 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import kepdiff
 
 SRC = Path(kepdiff.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_module_imports_private_names():
@@ -43,3 +45,37 @@ def test_no_unused_imports():
     offenders = [msg for path in paths if path.name != "__init__.py"
                  for msg in _unused_imports(path)]
     assert not offenders, "\n".join(offenders)
+
+
+def _referenced_names(tree):
+    """Names and attribute names used anywhere in tree."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_program_caller():
+    # a module-level public function or class must be used by another
+    # kepdiff module, by its own module outside its definition, or by
+    # scripts/ or perfbench/; tests and the __init__ re-exports do not
+    # count
+    bodies = {path: ast.parse(path.read_text(), filename=str(path)).body
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    names = {path: [_referenced_names(stmt) for stmt in body]
+             for path, body in bodies.items()}
+    # in how many top-level statements of src/kepdiff each name is used
+    uses = Counter(name for per_stmt in names.values()
+                   for stmt_names in per_stmt for name in stmt_names)
+    outside = set()
+    for path in sorted(ROOT.glob("scripts/*.py")) + sorted(
+            ROOT.glob("perfbench/*.py")):
+        outside |= _referenced_names(ast.parse(path.read_text()))
+    offenders = []
+    for path, body in bodies.items():
+        for node, stmt_names in zip(body, names[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") or node.name in outside:
+                continue
+            if uses[node.name] - (node.name in stmt_names) == 0:
+                offenders.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not offenders, "no program caller:\n" + "\n".join(offenders)

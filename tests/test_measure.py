@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kepdiff import (ConfigError, EllipseDensity, EmpiricalMarginal,
+from conftest import ellipse_average
+from kepdiff import (ConfigError, EmpiricalMarginal,
                      InsufficientSamplesError, PhysParams,
-                     angular_marginal_density, cross_section_widths, drift,
-                     ellipse_average, ellipse_point, empirical_marginal,
-                     laplace_weight, laplace_weight_integral,
-                     log_amplitude, log_invariant_density, log_wave,
-                     ridge_hessian, tangential_factor, tangential_factor_ode,
+                     cross_section_widths, drift, ellipse_point,
+                     empirical_marginal, laplace_weight,
+                     laplace_weight_integral, log_amplitude,
+                     log_invariant_density, log_wave, tangential_factor,
                      tangential_factor_ode_grid, tangential_log_slope)
 
 ECCS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -39,12 +39,14 @@ def test_tangential_ode_matches_closed():
 
 
 def test_tangential_ode_scalar_examples():
-    assert tangential_factor_ode(0.5, math.pi / 2) == pytest.approx(0.6, abs=1e-8)
+    def ode(e, v):
+        return tangential_factor_ode_grid(e, [0.0, v])[-1]
+    assert ode(0.5, math.pi / 2) == pytest.approx(0.6, abs=1e-8)
     # log-slope is odd about pi/2 on [0, pi]: full half-turn integrates to 0
     for e in (0.2, 0.5, 0.8):
-        assert tangential_factor_ode(e, math.pi) == pytest.approx(1.0, abs=1e-9)
+        assert ode(e, math.pi) == pytest.approx(1.0, abs=1e-9)
     # circular limit: no variation at all
-    assert tangential_factor_ode(1e-6, 1.234) == pytest.approx(1.0, abs=1e-10)
+    assert ode(1e-6, 1.234) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_log_slope_is_log_derivative():
@@ -78,17 +80,24 @@ def test_weight_integral_elliptic_closed_form():
         assert num == pytest.approx(laplace_weight_integral(e), rel=1e-8)
 
 
-def test_ellipse_density_bundle(p):
-    d = EllipseDensity(p)
-    assert d.T_of_v(0.0) == pytest.approx(1.0)
-    assert d.normalization == pytest.approx(laplace_weight_integral(p.ecc) / 2)
-    sn, sz = cross_section_widths(p, math.pi / 2)
-    assert sz == pytest.approx(0.1 * math.sqrt(1.25))
-
-
 # ---------------------------------------------------------------------------
 # widths and the on-ellipse curvature
 # ---------------------------------------------------------------------------
+
+def ridge_hessian(p, v):
+    """On-ellipse Hessian entries (R_uu, R_zz) of the log-amplitude in
+    (u, v, z) coordinates (test oracle; the v-v entry vanishes there):
+        R_uu = -lam (1 + e^2 + 2 e cos v) / (4 e^2 eps^2 (1-e^2))
+        R_zz = -mu^2 / (eps^2 lam^3 (1 + e^2 - 2 e cos v))
+    """
+    v = np.asarray(v, dtype=float)
+    e = p.ecc
+    r_uu = -p.lam * (1 + e * e + 2 * e * np.cos(v)) \
+        / (4 * e * e * p.eps ** 2 * (1 - e * e))
+    r_zz = -p.mu ** 2 / (p.eps ** 2 * p.lam ** 3
+                         * (1 + e * e - 2 * e * np.cos(v)))
+    return r_uu, r_zz
+
 
 def test_width_values():
     pp = PhysParams(ecc=0.5, eps=0.1)
@@ -112,7 +121,8 @@ def test_ridge_hessian_values():
 
 
 def test_z_width_consistent_with_hessian():
-    # sigma_z = eps |eps^2 R_zz|^{-1/2}
+    # sigma_z = eps |R''|^{-1/2} with R'' = eps^2 R_zz the scaled field's
+    # curvature
     pp = PhysParams(ecc=0.5, eps=0.1)
     vs = np.linspace(0, 2 * np.pi, 11)
     _, r_zz = ridge_hessian(pp, vs)
@@ -138,7 +148,7 @@ def test_normal_width_consistent_with_directional_curvature(p):
 
 
 # ---------------------------------------------------------------------------
-# expectations on the ellipse
+# expectations on the ellipse (the test oracle in conftest)
 # ---------------------------------------------------------------------------
 
 def test_ellipse_average_constant(p):
@@ -270,10 +280,15 @@ def test_marginal_merge_bin_mismatch():
 
 
 def test_marginal_density_normalised():
-    vs = np.linspace(0, 2 * np.pi, 100_001)
+    # the analytic bin masses integrate (1 - e cos v)/(2 pi) over each bin
+    m = EmpiricalMarginal.from_samples([0.0], bins=16)
     for e in ECCS:
-        total = np.trapezoid(angular_marginal_density(e, vs), vs)
-        assert total == pytest.approx(1.0, abs=1e-8)
+        probs = m.analytic_probs(e)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        for lo, hi, pr in zip(m.edges[:-1], m.edges[1:], probs):
+            mass = quad(lambda v: (1 - e * math.cos(v)) / (2 * math.pi),
+                        lo, hi, epsabs=1e-14)[0]
+            assert pr == pytest.approx(mass, rel=1e-12)
 
 
 def test_empirical_marginal_insufficient_samples(p, stationary_ensemble):

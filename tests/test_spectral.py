@@ -471,20 +471,19 @@ def test_radial_scan_far_field(p):
 
 
 def test_radial_scan_without_tangential_term(p):
+    # eps_part_max is G_u |x| without the tangential term: the same
+    # far-field asymptote, and the term is an O(eps^2 C) dent past r0
     cfg = SpectralConfig.from_measurement(p)
     radii = np.geomspace(1.0, 100.0, 10) * p.a
-    with_T = osmotic_radial_scan(p, cfg, radii, include_T=True)
-    no_T = osmotic_radial_scan(p, cfg, radii, include_T=False)
-    # same far-field asymptote; the tangential term is an O(eps^2 C) dent
-    assert no_T.eps_part_max[-1] == with_T.eps_part_max[-1]
-    assert abs(no_T.max_gu[-1] - with_T.max_gu[-1]) \
+    scan = osmotic_radial_scan(p, cfg, radii)
+    assert abs(scan.eps_part_max[-1] - scan.max_gu[-1]) \
         <= 0.5 * p.eps ** 2 * cfg.C + 1e-12
-    assert no_T.max_gu[-1] == pytest.approx(-p.mu / p.lam, rel=0.1)
+    assert scan.eps_part_max[-1] == pytest.approx(-p.mu / p.lam, rel=0.1)
 
 
 def test_scan_rows_format(p):
     cfg = SpectralConfig(params=p, C=2.0)
-    scan = osmotic_radial_scan(p, cfg, [1.0, 10.0], n_angles=16)
+    scan = osmotic_radial_scan(p, cfg, [1.0, 10.0])
     # the scan CSV's rows are (r, max_Gu, bound), written as columns
     r, gu, bound = scan.columns()
     assert r.tolist() == [1.0, 10.0] and gu is scan.max_gu
