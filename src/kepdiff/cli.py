@@ -28,18 +28,53 @@ from .params import (ConfigError, ConvergenceError, InsufficientSamplesError,
                      NodeError, PhysParams, ResolutionError,
                      SingularPointError)
 
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v):
+    try:
+        return _number(v) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _start(v):
+    if isinstance(v, dict):
+        ring = v.get("ring")
+        return set(v) == {"ring"} and isinstance(ring, dict) \
+            and "radius" in ring and not set(ring) - {"radius", "z"} \
+            and all(map(_number, ring.values()))
+    return isinstance(v, list) and len(v) == 3 and all(map(_number, v))
+
+
+_INT = (_integer, "an integer")
+_REAL = (_finite, "a finite number")
+_TEXT = (lambda v: isinstance(v, str), "a string")
 _SECTIONS = {"params", "sim", "grid", "spectral", "output"}
+#: Each section's keys, with the check a value must pass and its wording.
 _KEYS = {
-    "params": {"lambda", "mu", "ecc", "eps"},
-    "sim": {"dt", "n_steps", "n_paths", "seed", "x0", "drift_cap",
-            "record_stride"},
-    "grid": {"dim", "box", "n", "excluded"},
-    "spectral": {"C"},
-    "output": {"dir", "prefix"},
+    "params": {"lambda": _REAL, "mu": _REAL, "ecc": _REAL, "eps": _REAL},
+    "sim": {"dt": _REAL, "n_steps": _INT, "n_paths": _INT, "seed": _INT,
+            "x0": (_start, "a point [x, y, z] or a ring "
+                           "{'ring': {'radius': r, 'z': z}} of numbers"),
+            "drift_cap": _REAL, "record_stride": _INT},
+    "grid": {"dim": _INT, "n": _INT, "excluded": _REAL,
+             "box": (lambda v: isinstance(v, list) and len(v) == 4
+                     and all(map(_finite, v)), "four finite numbers")},
+    "spectral": {"C": _REAL},
+    "output": {"dir": _TEXT, "prefix": _TEXT},
 }
 
 
 def load_config(path):
+    """The config document, checked: known sections and keys only, each
+    value of its key's type.  A null value counts as not given."""
     cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -47,9 +82,17 @@ def load_config(path):
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for sec, keys in _KEYS.items():
-        bad = set(cfg.get(sec, {})) - keys
+        body = cfg.setdefault(sec, {})
+        if not isinstance(body, dict):
+            raise ConfigError(f"config section '{sec}' must be an object")
+        bad = set(body) - set(keys)
         if bad:
             raise ConfigError(f"unknown keys in '{sec}': {sorted(bad)}")
+        cfg[sec] = {k: v for k, v in body.items() if v is not None}
+        for key, val in cfg[sec].items():
+            check, kind = keys[key]
+            if not check(val):
+                raise ConfigError(f"{sec}.{key} must be {kind}, got {val!r}")
     return cfg
 
 
@@ -64,19 +107,13 @@ def _params_from(cfg, args):
                       ecc=sec.get("ecc", 0.5), eps=sec.get("eps", 0.1))
 
 
-def _x0_from(spec, p):
+def _x0_from(spec):
     if spec is None:
         return None
     if isinstance(spec, dict):
-        ring = spec.get("ring")
-        if ring is None or set(spec) != {"ring"} \
-                or set(ring) - {"radius", "z"}:
-            raise ConfigError(f"bad x0 spec: {spec}")
+        ring = spec["ring"]
         return sde.RingStart(float(ring["radius"]), float(ring.get("z", 0.0)))
-    arr = [float(v) for v in spec]
-    if len(arr) != 3:
-        raise ConfigError("x0 point must have three components")
-    return arr
+    return [float(v) for v in spec]
 
 
 def _sim_config(cfg, args, p):
@@ -87,13 +124,13 @@ def _sim_config(cfg, args, p):
         val = getattr(args, flag, None)
         if val is not None:
             sec[key] = val
-    if "seed" not in sec or sec["seed"] is None:
+    if sec.get("seed") is None:
         raise ConfigError("stochastic commands require --seed "
                           "(no wall-clock seeding)")
     kwargs = {k: sec[k] for k in
               ("dt", "n_steps", "n_paths", "seed", "drift_cap",
                "record_stride") if k in sec}
-    return sde.SimConfig(params=p, x0=_x0_from(sec.get("x0"), p), **kwargs)
+    return sde.SimConfig(params=p, x0=_x0_from(sec.get("x0")), **kwargs)
 
 
 def _out_dir(cfg, args):
@@ -263,7 +300,7 @@ def cmd_spectral(args):
         sec = cfg.get("spectral", {})
         if args.C is not None:
             scfg = spectral.SpectralConfig(params=p, C=args.C)
-        elif isinstance(sec.get("C"), (int, float)):
+        elif "C" in sec:
             scfg = spectral.SpectralConfig(params=p, C=float(sec["C"]))
         else:
             scfg = spectral.SpectralConfig.from_measurement(p)

@@ -23,6 +23,7 @@ Conventions fixed here (and exercised by the test suite):
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -180,33 +181,41 @@ def drift(p: PhysParams, pt):
     pt = as_points(pt)
     if np.any(nodal_coordinate(p, pt) == 0):
         raise SingularPointError("drift on the focal ray (e|x| = x, y = 0)")
-    return np.stack(drift_components(p, pt[..., 0], pt[..., 1], pt[..., 2]),
-                    axis=-1)
+    return np.moveaxis(drift_components(p, np.moveaxis(pt, -1, 0)), 0, -1)
 
 
-def drift_components(p: PhysParams, x, y, z):
-    """The drift (b_x, b_y, b_z) at coordinate arrays x, y, z; unchecked.
+def drift_components(p: PhysParams, X):
+    """The drift (b_x, b_y, b_z) at stacked coordinates X; unchecked.
 
-    With w = alpha + i beta the principal drift root,
+    X has shape (3, ...), one leading row per coordinate (a (3,) point
+    included), and the drift comes back in a new array of the same
+    shape.  With w = alpha + i beta the principal drift root,
         b_x = (mu/2lam) ((alpha+beta-1)/e - (alpha+beta+1) x/|x|)
         b_y = (mu/2lam) ((alpha-beta-1) sqrt(1-e^2)/e - (alpha+beta+1) y/|x|)
         b_z = -(mu/2lam) (alpha+beta+1) z/|x|
-    This is the one implementation of the drift: :func:`drift`, the
-    simulator, the orbit integrator and the generator assembly all call
-    it.  The origin and the focal ray give non-finite values instead of
-    an error; use :func:`drift` where the input is not known to be valid.
+    with |x| = sqrt((x^2 + y^2) + z^2).  This is the one implementation
+    of the drift: :func:`drift`, the simulator, the orbit integrator and
+    the generator assembly all call it.  The origin and the focal ray
+    give non-finite values instead of an error; use :func:`drift` where
+    the input is not known to be valid.
     """
     e = p.ecc
-    sq = np.sqrt(1 - e * e)
-    r = np.sqrt(x * x + y * y + z * z)
-    nu = (p.mu / p.lam ** 2) * (r - x / e - 1j * y * sq / e)
+    sq = math.sqrt(1 - e * e)
+    XX = X * X
+    r = np.sqrt(XX[0] + XX[1] + XX[2])
+    nu = (p.mu / p.lam ** 2) * (r - X[0] / e - 1j * X[1] * sq / e)
     w = np.sqrt(1 - 4 / nu)
     alpha, beta = w.real, w.imag
+    ab = alpha + beta
     k = p.mu / (2 * p.lam)
-    s = (alpha + beta + 1) / r
-    return (k * ((alpha + beta - 1) / e - s * x),
-            k * ((alpha - beta - 1) * sq / e - s * y),
-            -k * s * z)
+    s = (ab + 1) / r
+    sxy = s * X[:2]
+    B = np.empty(X.shape)
+    # B[i, ...] is a view even when X is a single (3,) point
+    np.multiply(k, (ab - 1) / e - sxy[0], out=B[0, ...])
+    np.multiply(k, (alpha - beta - 1) * sq / e - sxy[1], out=B[1, ...])
+    np.multiply(-k * s, X[2], out=B[2, ...])
+    return B
 
 
 @dataclass

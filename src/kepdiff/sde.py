@@ -13,12 +13,16 @@ and figure-1 runs) are built by the :class:`SimConfig` class methods
 of the same names, the one place each run recipe is written down.
 
 The ensemble step loop vectorises across paths and is bound by the
-number of numpy calls per step, not by arithmetic: the state is one
-contiguous array per coordinate, every update writes into a
-preallocated buffer, the noise is scaled by eps sqrt(dt) once per chunk
-of steps, and the masks for truncated paths only run after a path has
-truncated.  None of this changes the arithmetic, so the output is the
-same bit for bit as a plain (n_paths, 3) implementation.
+number of numpy calls per step, not by arithmetic.  So a step does only
+what every lane needs: the drift, the cap and the update x + b dt +
+noise, written into the row of a preallocated chunk buffer that already
+holds the step's noise, scaled by eps sqrt(dt) once per chunk.  The
+work that rarely finds anything is settled once per chunk of
+_NOISE_CHUNK steps, vectorised over the chunk: truncation (the same
+predicate, applied to every step's new state), the cap counts and the
+capped points (the same cut-off), the jump crossings and the records.
+None of this changes the arithmetic, so the output is the same bit for
+bit as a plain step-by-step (n_paths, 3) implementation.
 
 Reproducibility: noise comes from one Philox4x64-10 bit generator per
 path, keyed by (seed, path_index).  A path's noise is its generator's
@@ -219,110 +223,38 @@ def _path_generators(seed, n_paths):
 def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     """Run the full ensemble; bit-identical output for identical cfg.
 
-    The state is a (3, n_paths) array, one contiguous row per
-    coordinate.  Each step writes the drift from
-    :func:`fields.drift_components` at every lane into a second such
-    buffer, turns it into the candidate in place and copies the result
-    back into the state.  Where |b| = sqrt((b_x^2 + b_y^2) + b_z^2)
-    exceeds drift_cap on an active lane, that lane's drift is rescaled
-    by drift_cap / |b| and the step counts as a cap rejection.  The
-    candidate is x + b dt plus the noise, which is scaled by
-    eps sqrt(dt) once per chunk of _NOISE_CHUNK steps.  An active lane
-    truncates at the first step whose candidate has a non-finite
-    coordinate or sqrt((x^2 + y^2) + z^2) < 1e-8 a; finite coordinates
-    whose squares overflow do not truncate.  After the first
-    truncation, inactive lanes keep their position and are left out of
-    the cap and crossing counts.  A jump crossing is a sign change of y
-    whose midpoint (x, 0, z) lies in the jump set.
+    The steps run in chunks of _NOISE_CHUNK, on a (chunk + 1, 3,
+    n_paths) buffer whose row 0 is the state before the chunk and whose
+    row j + 1 first holds step j's noise, scaled by eps sqrt(dt), and
+    then the state after step j.  Each step does four things on every
+    lane: it takes the drift b from :func:`fields.drift_components`;
+    where |b| = sqrt((b_x^2 + b_y^2) + b_z^2) exceeds drift_cap it
+    rescales b by drift_cap / |b| and marks the step as capped; it forms
+    b dt + x; and it adds that to the noise in the next row.
+
+    Once per chunk, vectorised over its steps, the settle applies what
+    the steps skipped.  A lane that is active at a step truncates at the
+    first step whose new state has a non-finite coordinate or
+    sqrt((x^2 + y^2) + z^2) < 1e-8 a (finite coordinates whose squares
+    overflow do not truncate); from that step on its rows are reset to
+    its last valid state, and so are all rows of a lane truncated in an
+    earlier chunk.  Lanes are independent, so what a lane computes after
+    its truncation touches no other lane.  cap_rejections counts the
+    capped steps on which the lane was active, the truncation step
+    included, and cap_reject_points takes their pre-step states in
+    (step, lane) order, whole steps at a time until it holds
+    MAX_CAP_REJECT_POINTS.  A jump crossing is a sign change of y between
+    consecutive settled states whose midpoint (x, 0, z) lies in the jump
+    set.  Every record_stride-th settled state is recorded.
     """
     p = cfg.params
-    dt, cap = cfg.dt, cfg.drift_cap
-    n_paths, n_steps = cfg.n_paths, cfg.n_steps
-    origin_r = 1e-8 * p.a
-
+    n_paths = cfg.n_paths
     X0 = cfg.start_points()
-    S = X0.T.copy()             # the state, one row per coordinate
-    Sn = np.empty_like(S)       # the step's drift, then its candidate
-    x, y, z = S
-    gens = _path_generators(cfg.seed, n_paths)
     with np.errstate(all="ignore"):  # finite starts whose squares overflow
-        active = np.sqrt(np.sum(X0 * X0, axis=1)) >= origin_r
         u0, _ = elliptic_uv(p, X0[:, 0], X0[:, 1])
-    frozen = None if np.all(active) else ~active
-    truncate_step = np.where(active, -1, 0).astype(np.int64)
-    cap_rejections = np.zeros(n_paths, dtype=np.int64)
-    reject_pts = []
-    crossings = np.zeros(n_paths, dtype=np.int64)
-
     rec_t = cfg.record_times()
-    rec_pos = np.empty((n_paths, rec_t.size, 3))
-    rec_pos[:, 0] = X0
-    rec_i = 1
-
-    squares = np.empty_like(S)
-    norm = np.empty(n_paths)
-    hit = np.empty(n_paths, dtype=bool)
-    ok = np.empty(n_paths, dtype=bool)
-
-    def row_norm(A):
-        # sqrt((a_x^2 + a_y^2) + a_z^2), the order of np.sum(axis=1)
-        np.multiply(A, A, out=squares)
-        np.add(squares[0], squares[1], out=norm)
-        np.add(norm, squares[2], out=norm)
-        return np.sqrt(norm, out=norm)
-
-    scale = p.eps * math.sqrt(dt)
-    k = 0
-    with np.errstate(all="ignore"):
-        while k < n_steps:
-            chunk = min(_NOISE_CHUNK, n_steps - k)
-            noise = np.empty((chunk, 3, n_paths))
-            for i, g in enumerate(gens):
-                noise[:, :, i] = g.standard_normal((chunk, 3))
-            noise *= scale
-            for j in range(chunk):
-                Sn[0], Sn[1], Sn[2] = drift_components(p, x, y, z)
-                np.greater(row_norm(Sn), cap, out=hit)
-                if frozen is not None:
-                    hit &= active
-                if np.count_nonzero(hit):
-                    cap_rejections[hit] += 1
-                    if len(reject_pts) < MAX_CAP_REJECT_POINTS:
-                        reject_pts.extend(S[:, hit].T.tolist())
-                    Sn[:, hit] *= cap / norm[hit]
-                Sn *= dt
-                Sn += S
-                Sn += noise[j]
-                # origin_r <= r < inf: every coordinate finite, outside
-                # the origin ball; the other lanes get the exact predicate
-                r = row_norm(Sn)
-                np.greater_equal(r, origin_r, out=ok)
-                np.less(r, np.inf, out=hit)
-                ok &= hit
-                if frozen is not None:
-                    ok |= frozen
-                if np.count_nonzero(ok) < n_paths:
-                    lanes = np.flatnonzero(~ok)
-                    bad = lanes[~np.all(np.isfinite(Sn[:, lanes]), axis=0)
-                                | (r[lanes] < origin_r)]
-                    if bad.size:
-                        truncate_step[bad] = k
-                        active[bad] = False
-                        frozen = ~active
-                if frozen is not None:
-                    Sn[:, frozen] = S[:, frozen]
-                # frozen lanes have Sn == S, so y * y >= 0 keeps them out
-                np.multiply(y, Sn[1], out=norm)
-                np.less(norm, 0.0, out=hit)
-                if np.count_nonzero(hit):
-                    xm = 0.5 * (x[hit] + Sn[0, hit])
-                    zm = 0.5 * (z[hit] + Sn[2, hit])
-                    crossings[hit] += in_jump_set(p, xm, zm)
-                S[...] = Sn
-                k += 1
-                if k % cfg.record_stride == 0:
-                    rec_pos[:, rec_i] = S.T
-                    rec_i += 1
+    rec_pos, truncate_step, cap_rejections, reject_pts, crossings = \
+        _run_steps(cfg, X0, rec_t.size)
 
     flat = rec_pos.reshape(-1, 3)
     with np.errstate(all="ignore"):
@@ -337,9 +269,130 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     return TrajectoryEnsemble(
         config=cfg, times=rec_t, pos=rec_pos, u=u, v=v, dist_sigma=dist,
         truncated=truncate_step >= 0, truncate_step=truncate_step,
-        cap_rejections=cap_rejections,
-        cap_reject_points=np.array(reject_pts).reshape(-1, 3),
+        cap_rejections=cap_rejections, cap_reject_points=reject_pts,
         jump_crossings=crossings, start_u=u0)
+
+
+def _run_steps(cfg, X0, n_rec):
+    """The step loop and the chunk settle of :func:`simulate_ensemble`.
+
+    Returns the records, truncation steps, cap counts, capped points and
+    crossing counts; its buffers are freed on return.
+    """
+    p = cfg.params
+    dt, cap, stride = cfg.dt, cfg.drift_cap, cfg.record_stride
+    n_paths, n_steps = cfg.n_paths, cfg.n_steps
+    origin_r = 1e-8 * p.a
+    with np.errstate(all="ignore"):  # finite starts whose squares overflow
+        active = np.sqrt(np.sum(X0 * X0, axis=1)) >= origin_r
+    gens = _path_generators(cfg.seed, n_paths)
+    truncate_step = np.where(active, -1, 0).astype(np.int64)
+    cap_rejections = np.zeros(n_paths, dtype=np.int64)
+    reject_pts = [np.empty((0, 3))]
+    n_reject = 0
+    crossings = np.zeros(n_paths, dtype=np.int64)
+    rec_pos = np.empty((n_paths, n_rec, 3))
+    rec_pos[:, 0] = X0
+    rec_i = 1
+
+    m = min(_NOISE_CHUNK, n_steps)
+    states = np.empty((m + 1, 3, n_paths))
+    states[0] = X0.T
+    capped = np.empty((m, n_paths), dtype=bool)
+    # row views made once: a list index is cheaper than an array index
+    rows, cap_rows = list(states), list(capped)
+    squares = np.empty((3, n_paths))
+    bx2, by2, bz2 = squares
+    norm = np.empty(n_paths)
+    # settle scratch, shared by the truncation and the crossing tests
+    radius = np.empty((m, n_paths))
+    prod = np.empty((m, n_paths))
+    clear = np.empty((m, n_paths), dtype=bool)
+    flag = np.empty((m, n_paths), dtype=bool)
+
+    scale = p.eps * math.sqrt(dt)
+    k = 0
+    with np.errstate(all="ignore"):
+        while k < n_steps:
+            chunk = min(m, n_steps - k)
+            S = states[:chunk + 1]
+            for i, g in enumerate(gens):
+                S[1:, :, i] = g.standard_normal((chunk, 3))
+            S[1:] *= scale
+            for j in range(chunk):
+                X = rows[j]
+                B = drift_components(p, X)
+                np.multiply(B, B, out=squares)
+                np.add(bx2, by2, out=norm)
+                np.add(norm, bz2, out=norm)
+                np.sqrt(norm, out=norm)
+                hit = np.greater(norm, cap, out=cap_rows[j])
+                if np.count_nonzero(hit):
+                    B[:, hit] *= cap / norm[hit]
+                B *= dt
+                B += X
+                rows[j + 1] += B
+
+            # the settle: first truncation, which fixes where each lane
+            # was active, then the caps, the crossings and the records
+            hits, R, Q = capped[:chunk], radius[:chunk], prod[:chunk]
+            OK, F = clear[:chunk], flag[:chunk]
+            Y = S[1:]
+            np.multiply(Y[:, 0], Y[:, 0], out=R)
+            np.multiply(Y[:, 1], Y[:, 1], out=Q)
+            R += Q
+            np.multiply(Y[:, 2], Y[:, 2], out=Q)
+            R += Q
+            np.sqrt(R, out=R)
+            # origin_r <= r < inf clears a new state; lanes frozen before
+            # this chunk are clear too, and the rest get the exact test
+            np.greater_equal(R, origin_r, out=OK)
+            OK &= np.less(R, np.inf, out=F)
+            frozen = ~active
+            OK |= frozen
+            if np.count_nonzero(frozen):
+                S[1:, :, frozen] = S[0][:, frozen]
+                hits[:, frozen] = False
+            if np.count_nonzero(OK) < OK.size:
+                js, lanes = np.nonzero(~OK)
+                bad = ~np.all(np.isfinite(Y[js, :, lanes]), axis=1) \
+                    | (R[js, lanes] < origin_r)
+                # np.nonzero runs step-major, so a lane's first entry is
+                # its first bad step
+                lanes, first = np.unique(lanes[bad], return_index=True)
+                for lane, j in zip(lanes, js[bad][first]):
+                    truncate_step[lane] = k + j
+                    active[lane] = False
+                    S[j + 1:, :, lane] = S[j, :, lane]
+                    hits[j + 1:, lane] = False
+
+            if np.count_nonzero(hits):
+                cap_rejections += np.count_nonzero(hits, axis=0)
+                if n_reject < MAX_CAP_REJECT_POINTS:
+                    per_step = np.count_nonzero(hits, axis=1)
+                    before = n_reject + np.cumsum(per_step) - per_step
+                    last = np.searchsorted(before, MAX_CAP_REJECT_POINTS)
+                    js, lanes = np.nonzero(hits[:last])
+                    reject_pts.append(S[js, :, lanes])
+                    n_reject += js.size
+
+            # frozen lanes have equal consecutive states, so y * y >= 0
+            # keeps them out
+            np.multiply(S[:-1, 1], S[1:, 1], out=Q)
+            if np.count_nonzero(np.less(Q, 0.0, out=F)):
+                js, lanes = np.nonzero(F)
+                xm = 0.5 * (S[js, 0, lanes] + S[js + 1, 0, lanes])
+                zm = 0.5 * (S[js, 2, lanes] + S[js + 1, 2, lanes])
+                crossings += np.bincount(lanes[in_jump_set(p, xm, zm)],
+                                         minlength=n_paths)
+
+            recs = S[stride - k % stride::stride]
+            rec_pos[:, rec_i:rec_i + len(recs)] = recs.transpose(2, 0, 1)
+            rec_i += len(recs)
+            k += chunk
+            states[0] = S[chunk]
+    return (rec_pos, truncate_step, cap_rejections,
+            np.concatenate(reject_pts), crossings)
 
 
 def deterministic_orbit(p: PhysParams, n_periods=5):
@@ -359,7 +412,7 @@ def deterministic_orbit(p: PhysParams, n_periods=5):
 
     def rhs(t, state):
         x, y, _ = state
-        bx, by, _ = drift_components(p, x, y, 0.0)
+        bx, by, _ = drift_components(p, np.array([x, y, 0.0]))
         cx, cy = x + a * e, y / sq
         return [bx, by, (cx * by / sq - cy * bx) / (cx * cx + cy * cy)]
 

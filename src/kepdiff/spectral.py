@@ -257,13 +257,11 @@ class GeneratorMatrix:
 
 
 def _model_drift_nd(p: PhysParams, nodes, dim):
-    x = nodes[:, 0]
-    y = nodes[:, 1] if dim >= 2 else np.zeros_like(x)
-    z = nodes[:, 2] if dim == 3 else np.zeros_like(x)
+    X = np.zeros((3, nodes.shape[0]))
+    X[:dim] = nodes.T
     with np.errstate(all="ignore"):
-        bx, by, bz = drift_components(p, x, y, z)
-    cols = [bx, by, bz][:dim]
-    return np.stack([np.nan_to_num(c) for c in cols], axis=1)
+        B = drift_components(p, X)
+    return np.nan_to_num(B[:dim]).T
 
 
 def _model_weight(p: PhysParams, nodes, dim):

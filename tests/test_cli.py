@@ -218,6 +218,10 @@ def test_verify_quick(capsys):
     ("spectral", "--gap", "--no-autocorr", "--dim", "4"),
     ("spectral", "--gap", "--no-autocorr", "--config", {"grid": {"dim": 4}}),
     ("spectral", "--gap", "--no-autocorr", "--dim", "0"),
+    ("simulate", "--seed", "1", "--config", {"sim": {"n_steps": "100"}}),
+    ("spectral", "--gap", "--no-autocorr", "--config", {"grid": {"n": "abc"}}),
+    ("field", "--point", "0.5,0,0", "--config", {"params": {"ecc": "0.5"}}),
+    ("simulate", "--seed", "1", "--config", {"sim": {"x0": ["a", 0, 0]}}),
 ])
 def test_malformed_input_exit_code(capsys, tmp_path, argv):
     # a dict stands for a config document, passed as its file's path

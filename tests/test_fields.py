@@ -11,7 +11,8 @@ from kepdiff import (BranchPointWarning, PhysParams, SingularPointError,
                      ellipse_point, ellipse_tangent, jump_distance_many,
                      jump_interval, in_jump_set, kepler_speed,
                      nodal_coordinate, wave_gradients)
-from kepdiff.fields import JUMP_MESH, FieldSample, near_jump_set
+from kepdiff.fields import (JUMP_MESH, FieldSample, drift_components,
+                            near_jump_set)
 
 from conftest import random_points
 
@@ -239,6 +240,50 @@ def test_drift_equals_velocity_parts_near_jump_set(ecc):
     z = complex_velocity(pp, pts)
     np.testing.assert_allclose(drift(pp, pts), z.real - z.imag, rtol=0,
                                atol=1e-12)
+
+
+def _drift_components_unstacked(p, x, y, z):
+    """The drift kernel as it stood before it took stacked coordinates:
+    three coordinate arguments in, three components out."""
+    e = p.ecc
+    sq = np.sqrt(1 - e * e)
+    r = np.sqrt(x * x + y * y + z * z)
+    nu = (p.mu / p.lam ** 2) * (r - x / e - 1j * y * sq / e)
+    w = np.sqrt(1 - 4 / nu)
+    alpha, beta = w.real, w.imag
+    k = p.mu / (2 * p.lam)
+    s = (alpha + beta + 1) / r
+    return (k * ((alpha + beta - 1) / e - s * x),
+            k * ((alpha - beta - 1) * sq / e - s * y),
+            -k * s * z)
+
+
+@pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
+def test_drift_components_matches_unstacked_kernel(ecc):
+    # bit for bit: generic points, points 1e-16..1e-2 off the jump set,
+    # and the origin and the focal ray, where the NaN/inf pattern must
+    # match as well
+    pp = PhysParams(lam=1.3, mu=0.7, ecc=ecc, eps=0.2)
+    z_ray = np.array([0.5, 1.0, 3.0])
+    singular = np.stack([ecc * z_ray / math.sqrt(1 - ecc ** 2),
+                         np.zeros(3), z_ray], axis=1)
+    pts = np.concatenate([random_points(500, seed=41),
+                          _near_jump_set_points(pp, 500, seed=43,
+                                                log_y_min=-16.0),
+                          np.zeros((1, 3)), singular])
+    with np.errstate(all="ignore"):
+        got = drift_components(pp, pts.T)
+        want = _drift_components_unstacked(pp, *pts.T)
+    assert got.shape == pts.T.shape
+    np.testing.assert_array_equal(got, np.stack(want))
+    assert not np.all(np.isfinite(got[:, -4:]))
+    # a single (3,) point of numpy scalars, as the orbit integrator passes
+    for pt in pts[[0, 700, -1]]:
+        with np.errstate(all="ignore"):
+            got = drift_components(pp, np.array([pt[0], pt[1], 0.0]))
+            want = _drift_components_unstacked(pp, pt[0], pt[1], 0.0)
+        assert got.shape == (3,)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_drift_focal_ray_raises(p):

@@ -201,9 +201,11 @@ def test_weak_order_dt_halving(p):
 def _simulate_reference(cfg):
     """The step loop as it stood before the per-coordinate rewrite.
 
-    One (n_paths, 3) state array, a stacked drift and a full set of
-    masks on every step; :func:`simulate_ensemble` must equal it bit for
-    bit.  The drift is looked up on ``sde`` so a monkeypatch reaches both.
+    One (n_paths, 3) state array, and the truncation, cap, crossing and
+    record work with a full set of masks on every step;
+    :func:`simulate_ensemble`, which settles that work once per noise
+    chunk, must equal it bit for bit.  The drift is looked up on ``sde``
+    so a monkeypatch reaches both.
     """
     p = cfg.params
     dt, eps = cfg.dt, p.eps
@@ -237,7 +239,7 @@ def _simulate_reference(cfg):
             for i, g in enumerate(gens):
                 noise[i] = g.standard_normal((chunk, 3))
             for j in range(chunk):
-                bx, by, bz = sde.drift_components(p, X[:, 0], X[:, 1], X[:, 2])
+                bx, by, bz = sde.drift_components(p, X.T)
                 nb = np.sqrt(bx * bx + by * by + bz * bz)
                 over = active & (nb > cfg.drift_cap)
                 if np.any(over):
@@ -327,6 +329,27 @@ def test_ensemble_matches_reference_all_inactive(p):
     assert np.all(ens.truncate_step == 0)
 
 
+def _assert_matches_reference_with_faults(monkeypatch, cfg, fault):
+    """Like _assert_matches_reference, with ``sde.drift_components``
+    routed through fault(k, X, B) in both runs: k counts the calls from
+    0, one per simulated step, and fault may change the drift B in
+    place."""
+    real = sde.drift_components
+    calls = [0]
+
+    def drift_with_faults(pp, X):
+        B = real(pp, X)
+        fault(calls[0], X, B)
+        calls[0] += 1
+        return B
+
+    monkeypatch.setattr(sde, "drift_components", drift_with_faults)
+    ens = simulate_ensemble(cfg)
+    calls[0] = 0
+    _assert_same_arrays(ens, _simulate_reference(cfg))
+    return ens
+
+
 def test_ensemble_matches_reference_mid_run_truncation(monkeypatch):
     # lane 2 is sent into the origin ball at step 4, lane 4's drift turns
     # NaN from step 300 and lane 6's infinite from step 600; the other
@@ -334,26 +357,78 @@ def test_ensemble_matches_reference_mid_run_truncation(monkeypatch):
     pp = PhysParams(ecc=0.5, eps=1e-9)
     cfg = SimConfig(params=pp, dt=1e-3, n_steps=1500, n_paths=9, seed=3,
                     x0=[0.3, 0.2, 0.0], drift_cap=450.0, record_stride=10)
-    calls = [0]
-    real = sde.drift_components
 
-    def drift_with_faults(pp, x, y, z):
-        bx, by, bz = real(pp, x, y, z)
-        calls[0] += 1
-        if calls[0] == 5:
-            bx[2], by[2], bz[2] = -np.array([x[2], y[2], z[2]]) / cfg.dt
-        if calls[0] > 300:
-            bx[4] = np.nan
-        if calls[0] > 600:
-            by[6] = np.inf
-        return bx, by, bz
+    def fault(k, X, B):
+        if k == 4:
+            B[:, 2] = -X[:, 2] / cfg.dt
+        if k >= 300:
+            B[0, 4] = np.nan
+        if k >= 600:
+            B[1, 6] = np.inf
 
-    monkeypatch.setattr(sde, "drift_components", drift_with_faults)
-    ens = simulate_ensemble(cfg)
-    calls[0] = 0
-    _assert_same_arrays(ens, _simulate_reference(cfg))
+    ens = _assert_matches_reference_with_faults(monkeypatch, cfg, fault)
     np.testing.assert_array_equal(ens.truncate_step,
                                   [-1, -1, 4, -1, 300, -1, 600, -1, -1])
+
+
+@pytest.mark.parametrize("step", [sde._NOISE_CHUNK - 1, sde._NOISE_CHUNK])
+def test_ensemble_matches_reference_truncation_at_chunk_edge(monkeypatch, step):
+    # lane 1's drift turns NaN on the last step of the first noise chunk,
+    # or on the first step of the second, and nowhere else
+    cfg = SimConfig(params=PhysParams(ecc=0.5, eps=0.2), dt=1e-3,
+                    n_steps=2 * sde._NOISE_CHUNK + 5, n_paths=4, seed=5,
+                    record_stride=10, compute_jump_dist=False)
+
+    def fault(k, X, B):
+        if k == step:
+            B[0, 1] = np.nan
+
+    ens = _assert_matches_reference_with_faults(monkeypatch, cfg, fault)
+    np.testing.assert_array_equal(ens.truncate_step, [-1, step, -1, -1])
+    # every record from step count step + 1 on holds the frozen state
+    assert np.all(ens.pos[1, -(-(step + 1) // 10):] == ens.pos[1, -1])
+
+
+@pytest.mark.parametrize("n_paths, fault_step, n_points", [
+    (7, 100, 7 * 101 + 6 * 1549),   # the limit is passed mid-step
+    (6, 4, 6 * 5 + 5 * 1994)])      # a step ends exactly on the limit
+def test_ensemble_matches_reference_cap_bookkeeping(p, monkeypatch, n_paths,
+                                                    fault_step, n_points):
+    # a cap below |b| everywhere caps every step of every lane.  Lane 1's
+    # drift is infinite on fault_step alone: that step is capped and
+    # truncates, and the lane stays frozen where its drift would still
+    # be capped, so none of its later steps may count.  The capped points
+    # reach MAX_CAP_REJECT_POINTS in the middle of the first chunk.
+    n_steps = sde._NOISE_CHUNK + 50
+    cfg = small_cfg(p, n_paths=n_paths, n_steps=n_steps,
+                    x0=[-0.3, 1e-3, 0.0], drift_cap=1e-3,
+                    compute_jump_dist=False)
+
+    def fault(k, X, B):
+        if k == fault_step:
+            B[1, 1] = np.inf
+
+    ens = _assert_matches_reference_with_faults(monkeypatch, cfg, fault)
+    want = np.full(n_paths, -1)
+    want[1] = fault_step
+    np.testing.assert_array_equal(ens.truncate_step, want)
+    want = np.full(n_paths, n_steps)
+    want[1] = fault_step + 1
+    np.testing.assert_array_equal(ens.cap_rejections, want)
+    assert len(ens.cap_reject_points) == n_points
+    assert n_points - (n_paths - 1) < sde.MAX_CAP_REJECT_POINTS <= n_points
+
+
+@pytest.mark.parametrize("n_steps, stride", [
+    (100, 7),                           # shorter than one chunk
+    (2 * sde._NOISE_CHUNK + 3, 7),      # a stride that does not divide it
+    (2 * sde._NOISE_CHUNK + 7, 3000)])  # a stride longer than a chunk
+def test_ensemble_matches_reference_record_grid(p, n_steps, stride):
+    ens = _assert_matches_reference(small_cfg(
+        p, n_paths=5, n_steps=n_steps, x0=[-0.3, 1e-3, 0.0], drift_cap=3.0,
+        record_stride=stride))
+    assert ens.pos.shape[1] == n_steps // stride + 1
+    assert np.all(ens.cap_rejections > 0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -367,7 +442,7 @@ def test_ensemble_matches_reference_mid_run_truncation(monkeypatch):
     (np.finfo(float).max, 5e153, True)])
 def test_ensemble_overflowing_radius(monkeypatch, x0, b_x, truncated):
     monkeypatch.setattr(sde, "drift_components",
-                        lambda pp, x, y, z: (0.0 * x + b_x, 0.0 * y, 0.0 * z))
+                        lambda pp, X: 0.0 * X + [[b_x], [0.0], [0.0]])
     cfg = SimConfig(params=PhysParams(lam=1e148), dt=1e140, n_steps=50,
                     n_paths=4, seed=7, x0=[x0, 0.0, 0.0], drift_cap=1e154,
                     record_stride=10, compute_jump_dist=False)
@@ -378,8 +453,7 @@ def test_ensemble_overflowing_radius(monkeypatch, x0, b_x, truncated):
 def test_ensemble_overflowing_start_is_silent(monkeypatch):
     # the start norm and the u/v of a finite start whose squares overflow
     # raise no RuntimeWarning
-    monkeypatch.setattr(sde, "drift_components",
-                        lambda pp, x, y, z: (0.0 * x, 0.0 * y, 0.0 * z))
+    monkeypatch.setattr(sde, "drift_components", lambda pp, X: 0.0 * X)
     cfg = SimConfig(params=PhysParams(lam=1e148), dt=1e140, n_steps=50,
                     n_paths=4, seed=7, x0=[1e160, 0.0, 0.0], drift_cap=1e154,
                     record_stride=10, compute_jump_dist=False)
