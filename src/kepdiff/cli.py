@@ -64,9 +64,7 @@ _KEYS = {
             "x0": (_start, "a point [x, y, z] or a ring "
                            "{'ring': {'radius': r, 'z': z}} of numbers"),
             "drift_cap": _REAL, "record_stride": _INT},
-    "grid": {"dim": _INT, "n": _INT, "excluded": _REAL,
-             "box": (lambda v: isinstance(v, list) and len(v) == 4
-                     and all(map(_finite, v)), "four finite numbers")},
+    "grid": {"dim": _INT, "n": _INT},
     "spectral": {"C": _REAL},
     "output": {"dir": _TEXT, "prefix": _TEXT},
 }
@@ -181,6 +179,8 @@ def cmd_field(args):
         if not args.box:
             raise ConfigError("--grid needs --box x0,x1,y0,y1")
         x0, x1, y0, y1 = _parse_floats("--box", args.box, 4)
+        if not math.isfinite(args.z):
+            raise ConfigError(f"--z wants a finite number, got {args.z}")
         xs = np.linspace(x0, x1, n)
         ys = np.linspace(y0, y1, n)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -210,6 +210,19 @@ def cmd_field(args):
 def cmd_simulate(args):
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
+    if args.deterministic or args.figure1:
+        # a preset fixes the run: flags and config values shaping it are
+        # refused rather than silently dropped
+        mode = "--deterministic" if args.deterministic else "--figure1"
+        ignored = [f"--{key.replace('_', '-')}" for key in
+                   ("dt", "n_steps", "n_paths", "record_stride")
+                   if getattr(args, key) is not None]
+        if args.deterministic and args.figure1:
+            ignored.append("--figure1")
+        if cfg.get("sim"):
+            ignored.append("the config's sim section")
+        if ignored:
+            raise ConfigError(f"{mode} would ignore {', '.join(ignored)}")
     out_dir, prefix = _out_dir(cfg, args)
 
     if args.deterministic:

@@ -146,21 +146,18 @@ def log_invariant_density(p: PhysParams, pt):
 
 @dataclass
 class EmpiricalMarginal:
-    """Histogram of the eccentric angle with burn-in/thinning metadata."""
+    """Histogram of the eccentric angle."""
 
     edges: np.ndarray
     counts: np.ndarray
-    burn_in: float
-    thinning: float
     total: int
 
     @classmethod
-    def from_samples(cls, v, bins, burn_in=0.0, thinning=0.0):
+    def from_samples(cls, v, bins):
         v = np.mod(np.asarray(v, dtype=float).ravel(), 2 * np.pi)
         edges = np.linspace(0.0, 2 * np.pi, bins + 1)
         counts, _ = np.histogram(v, bins=edges)
-        return cls(edges=edges, counts=counts.astype(np.int64),
-                   burn_in=burn_in, thinning=thinning, total=v.size)
+        return cls(edges=edges, counts=counts.astype(np.int64), total=v.size)
 
     def merge(self, other: "EmpiricalMarginal") -> "EmpiricalMarginal":
         """Combine two partial histograms (associative, order-free)."""
@@ -169,8 +166,7 @@ class EmpiricalMarginal:
             raise ConfigError("cannot merge histograms with different bins")
         return EmpiricalMarginal(
             edges=self.edges, counts=self.counts + other.counts,
-            burn_in=min(self.burn_in, other.burn_in),
-            thinning=self.thinning, total=self.total + other.total)
+            total=self.total + other.total)
 
     @property
     def centers(self):
@@ -204,8 +200,7 @@ def empirical_marginal(ens, bins: int, burn_in: float) -> EmpiricalMarginal:
         raise InsufficientSamplesError(
             f"need >= {MIN_MARGINAL_SAMPLES} post-burn-in samples, "
             f"have {v.size}")
-    return EmpiricalMarginal.from_samples(
-        v, bins, burn_in=burn_in, thinning=ens.record_dt)
+    return EmpiricalMarginal.from_samples(v, bins)
 
 
 def z_spread_by_angle(ens, p: PhysParams, burn_in: float):

@@ -1,16 +1,18 @@
 """Ensemble Euler-Maruyama simulation of dX = b(X) dt + eps dB.
 
-The drift is discontinuous across the jump set and blows up only at the
-origin, so Euler-Maruyama is the right tool; higher-order schemes buy
-nothing here.  The drift and the recorded (u, v) coordinates come from
-the unchecked kernels :func:`fields.drift_components` and
-:func:`fields.elliptic_uv`; the zero-noise orbit integrates the same
-drift with an adaptive ODE solver.  Paths that fall into the origin
-ball, or whose step leaves the finite numbers, are truncated (kept
-frozen and flagged), never aborted, and excluded from stationary
-statistics.  The production ensembles (the autocorrelation, marginal
-and figure-1 runs) are built by the :class:`SimConfig` class methods
-of the same names, the one place each run recipe is written down.
+The drift is discontinuous across the jump set and blows up at the
+origin and on the focal cone nu = 0 (the jump set's right edge,
+x = e|z|/sqrt(1-e^2) at y = 0), so Euler-Maruyama is the right tool;
+higher-order schemes buy nothing here.  The drift and the recorded
+(u, v) coordinates come from the unchecked kernels
+:func:`fields.drift_components` and :func:`fields.elliptic_uv`; the
+zero-noise orbit integrates the same drift with an adaptive ODE solver.
+Paths that fall into the origin ball, or whose step leaves the finite
+numbers, are truncated (kept frozen and flagged), never aborted, and
+excluded from stationary statistics.  The production ensembles (the
+autocorrelation, marginal and figure-1 runs) are built by the
+:class:`SimConfig` class methods of the same names, the one place each
+run recipe is written down.
 
 The ensemble step loop vectorises across paths and is bound by the
 number of numpy calls per step, not by arithmetic.  So a step does only
@@ -19,10 +21,10 @@ noise, written into the row of a preallocated chunk buffer that already
 holds the step's noise, scaled by eps sqrt(dt) once per chunk.  The
 work that rarely finds anything is settled once per chunk of
 _NOISE_CHUNK steps, vectorised over the chunk: truncation (the same
-predicate, applied to every step's new state), the cap counts and the
-capped points (the same cut-off), the jump crossings and the records.
-None of this changes the arithmetic, so the output is the same bit for
-bit as a plain step-by-step (n_paths, 3) implementation.
+predicate, applied to every step's new state), the cap counts, the
+jump crossings and the records.  None of this changes the arithmetic,
+so the output is the same bit for bit as a plain step-by-step
+(n_paths, 3) implementation.
 
 Reproducibility: noise comes from one Philox4x64-10 bit generator per
 path, keyed by (seed, path_index).  A path's noise is its generator's
@@ -51,11 +53,6 @@ CONV_Z_TOL = 0.2
 
 _NOISE_CHUNK = 2048
 
-#: Capped steps stop adding to ``TrajectoryEnsemble.cap_reject_points``
-#: once it holds this many points (the step that crosses the limit
-#: still adds all of its points).
-MAX_CAP_REJECT_POINTS = 10_000
-
 #: Time discarded from the start of the autocorrelation and the
 #: marginal ensembles before their statistics are taken.
 AUTOCORR_BURN_IN = 20.0
@@ -82,8 +79,11 @@ class RingStart:
 def default_drift_cap(p: PhysParams) -> float:
     """Cap on |b| before a step's drift is rescaled.
 
-    10 mu/(lam eps): large enough that only the genuine origin blowup is
-    capped (the drift on physical scales is O(mu/lam)).
+    10 mu/(lam eps), against a drift of O(mu/lam) on physical scales.
+    Steps are capped near the two blowups of the drift: the origin and
+    the focal cone nu = 0 at the jump set's right edge (at ecc 0.5, eps
+    0.1 and z = a, |b| is about 199 at 1e-4 a from the cone, twice the
+    cap of 100).
     """
     return 10 * p.mu / (p.lam * p.eps)
 
@@ -173,10 +173,7 @@ class TrajectoryEnsemble:
 
     pos has shape (n_paths, n_rec, 3); u, v and dist_sigma align with it.
     Truncated paths stay frozen at their last valid position from the
-    truncation step onward.  cap_reject_points holds the pre-step
-    positions of capped steps, whole steps at a time, and stops growing
-    after the step that brings it to MAX_CAP_REJECT_POINTS (10,000);
-    cap_rejections counts every capped step.
+    truncation step onward.  cap_rejections counts every capped step.
     """
 
     config: SimConfig
@@ -188,7 +185,6 @@ class TrajectoryEnsemble:
     truncated: np.ndarray
     truncate_step: np.ndarray
     cap_rejections: np.ndarray
-    cap_reject_points: np.ndarray
     jump_crossings: np.ndarray
     start_u: np.ndarray
 
@@ -241,11 +237,9 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     earlier chunk.  Lanes are independent, so what a lane computes after
     its truncation touches no other lane.  cap_rejections counts the
     capped steps on which the lane was active, the truncation step
-    included, and cap_reject_points takes their pre-step states in
-    (step, lane) order, whole steps at a time until it holds
-    MAX_CAP_REJECT_POINTS.  A jump crossing is a sign change of y between
-    consecutive settled states whose midpoint (x, 0, z) lies in the jump
-    set.  Every record_stride-th settled state is recorded.
+    included.  A jump crossing is a sign change of y between consecutive
+    settled states whose midpoint (x, 0, z) lies in the jump set.  Every
+    record_stride-th settled state is recorded.
     """
     p = cfg.params
     n_paths = cfg.n_paths
@@ -253,7 +247,7 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     with np.errstate(all="ignore"):  # finite starts whose squares overflow
         u0, _ = elliptic_uv(p, X0[:, 0], X0[:, 1])
     rec_t = cfg.record_times()
-    rec_pos, truncate_step, cap_rejections, reject_pts, crossings = \
+    rec_pos, truncate_step, cap_rejections, crossings = \
         _run_steps(cfg, X0, rec_t.size)
 
     flat = rec_pos.reshape(-1, 3)
@@ -269,15 +263,14 @@ def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     return TrajectoryEnsemble(
         config=cfg, times=rec_t, pos=rec_pos, u=u, v=v, dist_sigma=dist,
         truncated=truncate_step >= 0, truncate_step=truncate_step,
-        cap_rejections=cap_rejections, cap_reject_points=reject_pts,
-        jump_crossings=crossings, start_u=u0)
+        cap_rejections=cap_rejections, jump_crossings=crossings, start_u=u0)
 
 
 def _run_steps(cfg, X0, n_rec):
     """The step loop and the chunk settle of :func:`simulate_ensemble`.
 
-    Returns the records, truncation steps, cap counts, capped points and
-    crossing counts; its buffers are freed on return.
+    Returns the records, truncation steps, cap counts and crossing
+    counts; its buffers are freed on return.
     """
     p = cfg.params
     dt, cap, stride = cfg.dt, cfg.drift_cap, cfg.record_stride
@@ -288,8 +281,6 @@ def _run_steps(cfg, X0, n_rec):
     gens = _path_generators(cfg.seed, n_paths)
     truncate_step = np.where(active, -1, 0).astype(np.int64)
     cap_rejections = np.zeros(n_paths, dtype=np.int64)
-    reject_pts = [np.empty((0, 3))]
-    n_reject = 0
     crossings = np.zeros(n_paths, dtype=np.int64)
     rec_pos = np.empty((n_paths, n_rec, 3))
     rec_pos[:, 0] = X0
@@ -368,13 +359,6 @@ def _run_steps(cfg, X0, n_rec):
 
             if np.count_nonzero(hits):
                 cap_rejections += np.count_nonzero(hits, axis=0)
-                if n_reject < MAX_CAP_REJECT_POINTS:
-                    per_step = np.count_nonzero(hits, axis=1)
-                    before = n_reject + np.cumsum(per_step) - per_step
-                    last = np.searchsorted(before, MAX_CAP_REJECT_POINTS)
-                    js, lanes = np.nonzero(hits[:last])
-                    reject_pts.append(S[js, :, lanes])
-                    n_reject += js.size
 
             # frozen lanes have equal consecutive states, so y * y >= 0
             # keeps them out
@@ -391,8 +375,7 @@ def _run_steps(cfg, X0, n_rec):
             rec_i += len(recs)
             k += chunk
             states[0] = S[chunk]
-    return (rec_pos, truncate_step, cap_rejections,
-            np.concatenate(reject_pts), crossings)
+    return rec_pos, truncate_step, cap_rejections, crossings
 
 
 def deterministic_orbit(p: PhysParams, n_periods=5):

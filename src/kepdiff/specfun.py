@@ -28,14 +28,12 @@ class PolyEval:
     """Value/derivative pair of a polynomial, jointly rescaled.
 
     The true value is ``value * 2**exponent`` (same for the derivative);
-    ratios of the pair need no unscaling.  ``overflow_scaled`` records
-    whether any rescaling happened.
+    ratios of the pair need no unscaling, and exponent > 0 exactly when
+    the recurrence was rescaled.
     """
 
     value: complex
     derivative: complex
-    degree: int
-    overflow_scaled: bool = False
     exponent: int = 0
 
 
@@ -50,7 +48,7 @@ def laguerre(n: int, z: complex) -> PolyEval:
         raise ConfigError("polynomial degree must be >= 0")
     z = complex(z)
     if n == 0:
-        return PolyEval(1.0 + 0j, 0.0 + 0j, 0)
+        return PolyEval(1.0 + 0j, 0.0 + 0j)
     L0, L1 = 1.0 + 0j, 1.0 - z
     D0, D1 = 0.0 + 0j, -1.0 + 0j
     ex = 0
@@ -63,7 +61,7 @@ def laguerre(n: int, z: complex) -> PolyEval:
             s = 2.0 ** -_SCALE_SHIFT
             L0 *= s; L1 *= s; D0 *= s; D1 *= s
             ex += _SCALE_SHIFT
-    return PolyEval(L1, D1, n, ex > 0, ex)
+    return PolyEval(L1, D1, ex)
 
 
 def hermite(m: int, z: complex) -> PolyEval:
@@ -72,7 +70,7 @@ def hermite(m: int, z: complex) -> PolyEval:
         raise ConfigError("polynomial degree must be >= 0")
     z = complex(z)
     if m == 0:
-        return PolyEval(1.0 + 0j, 0.0 + 0j, 0)
+        return PolyEval(1.0 + 0j, 0.0 + 0j)
     H0, H1 = 1.0 + 0j, 2 * z
     ex = 0
     for k in range(1, m):
@@ -83,7 +81,7 @@ def hermite(m: int, z: complex) -> PolyEval:
             s = 2.0 ** -_SCALE_SHIFT
             H0 *= s; H1 *= s
             ex += _SCALE_SHIFT
-    return PolyEval(H1, 2 * m * H0, m, ex > 0, ex)
+    return PolyEval(H1, 2 * m * H0, ex)
 
 
 def hermite_ratio(m: int, nu: complex) -> complex:

@@ -52,10 +52,17 @@ PI_TOL = 1e-12
 N_EIGS = 6
 ARPACK_NCV = 40
 ARPACK_TOL = 1e-10
+#: Bound on the gap eigenpair's residual |Q f - lam f| / |f| in the
+#: weight-induced norm; a larger one raises ConvergenceError.
+EIGEN_RESID_TOL = 1e-8
 #: Path-bootstrap resamples behind the autocovariance gap's interval.
 AUTOCORR_N_BOOT = 200
-#: Shells (log-spaced from 2a to 50a) and angles per axis of the mesh
-#: that measures sup |grad ln T|, and the margin C adds on top of it.
+#: Radius, in units of a, outside which C bounds |grad ln T|: the inner
+#: shell of the sup mesh and of the radial scan's sup.
+SUP_GRAD_R0 = 2.0
+#: Shells (log-spaced from SUP_GRAD_R0 a to 50a) and angles per axis of
+#: the mesh that measures sup |grad ln T|, and the margin C adds on top
+#: of it.
 SUP_GRAD_N_R = 12
 SUP_GRAD_N_ANGLES = 64
 SUP_GRAD_MARGIN = 0.1
@@ -185,7 +192,9 @@ def production_grid_2d(p: PhysParams, n=None) -> GridSpec:
     The ridge lives on the ellipse (x in [-a(1+e), a(1-e)], |y| up to
     a sqrt(1-e^2)) with O(eps) cross-sections; a box clearing it by
     many widths keeps the matrix small at volcano-resolving spacing.
-    n defaults to the resolution bound with ~5 percent headroom.
+    n defaults to spacing w/8, with w the narrowest ridge width: twice
+    as fine as the h < w/4 resolution check needs (at ecc 0.5, eps 0.1
+    the default n is 370, and the check needs n >= 185).
     """
     a = p.a
     box = ((-2.6 * a, 1.4 * a), (-2.0 * a, 2.0 * a))
@@ -218,8 +227,6 @@ class GeneratorMatrix:
     nodes: np.ndarray          # (N, dim)
     grid: GridSpec
     params: PhysParams
-    row_sum_max: float
-    offdiag_min: float
     interior: np.ndarray       # mask: nodes with a full stencil
 
     @property
@@ -282,7 +289,8 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
     drift_fn/weight_fn default to the model fields; pass callables (or
     None for zero drift / uniform weight) to build control problems.
     Raises ResolutionError when the spacing cannot resolve the ridge and
-    the model drift is in use.
+    the model drift is in use, and when a jump rate is negative or not a
+    number (a drift_fn that returns NaN).
     """
     h = grid.h
     if check_resolution and drift_fn == "model":
@@ -326,6 +334,10 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
             has = nb_idx >= 0
             # upwind: the jump rate toward +axis carries max(b, 0)/h
             rate = D + np.maximum(sgn * b[:, axis], 0.0) / h
+            if not (rate >= 0).all():
+                raise ResolutionError(
+                    "negative or NaN jump rate; the discrete generator "
+                    "would lose its Markov sign structure")
             rows.append(np.arange(N)[has])
             cols.append(nb_idx[has])
             vals.append(rate[has])
@@ -338,14 +350,6 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(N, N))
 
-    offdiag_min = min((float(v.min()) for v in vals[:-1] if v.size), default=0.0)
-    if offdiag_min < 0:
-        raise ResolutionError(
-            "negative off-diagonal rate; the discrete generator lost its "
-            "Markov sign structure")
-    row_sums = np.asarray(Q.sum(axis=1)).ravel()
-    row_sum_max = float(np.max(np.abs(row_sums[interior]))) if interior.any() else 0.0
-
     if weight_fn == "model":
         w = _model_weight(p, nodes, grid.dim)
     elif weight_fn is None:
@@ -355,8 +359,7 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
         w = w / w.sum()
 
     return GeneratorMatrix(matrix=Q, weight=w, nodes=nodes, grid=grid,
-                           params=p, row_sum_max=row_sum_max,
-                           offdiag_min=offdiag_min, interior=interior)
+                           params=p, interior=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +401,16 @@ def stationary_vector(G: GeneratorMatrix):
 class GapResult:
     gap: float
     eigenvalue: complex
-    eigenvector: np.ndarray
-    residual: float            # |G f - lam f|_2 / |f|_2
-    residual_weighted: float   # same in the weight-induced norm
+    residual_weighted: float   # |G f - lam f| / |f| in the weight norm
     eigenvalues: list          # slow spectrum found (complex, sorted by Re)
     pi_residual: float
-    converged: bool
 
     def as_dict(self):
         return {"gap": self.gap,
                 "eigenvalue": [self.eigenvalue.real, self.eigenvalue.imag],
                 "eigen_residual": self.residual_weighted,
-                "eigen_residual_l2": self.residual,
                 "eigenvalues": [[l.real, l.imag] for l in self.eigenvalues],
-                "pi_residual": self.pi_residual,
-                "converged": self.converged}
+                "pi_residual": self.pi_residual}
 
 
 @_one_blas_thread()
@@ -426,8 +424,9 @@ def gap_from_matrix(G: GeneratorMatrix) -> GapResult:
     N_EIGS largest-magnitude eigenvalues of that inverse, i.e. the slow
     cluster.  Slow eigenvalues come in complex pairs when the slow mode
     rotates around the ellipse; the gap is the smallest positive
-    Re(-lambda), and ``converged`` means its eigenpair residual is below
-    1e-8.  Raises ConvergenceError when ARPACK does not converge.
+    Re(-lambda).  Raises ConvergenceError when ARPACK does not converge,
+    when no slow eigenvalue has a positive Re(-lambda), or when the gap
+    eigenpair's weighted residual is not below EIGEN_RESID_TOL.
     """
     Q = G.matrix
     N = Q.shape[0]
@@ -457,21 +456,24 @@ def gap_from_matrix(G: GeneratorMatrix) -> GapResult:
     re = -lams.real
     cand = np.where(re > 1e-12)[0]
     if cand.size == 0:
-        return GapResult(math.nan, complex(math.nan), np.zeros(N), math.inf,
-                         math.inf, lams_srt, pi_resid, False)
+        raise ConvergenceError(
+            "no slow eigenvalue has a positive real part of -lambda: "
+            f"{lams_srt}")
     kbest = cand[np.argmin(re[cand])]
     lam = complex(lams[kbest])
     vec = proj(vecs[:, kbest])
     vec /= np.linalg.norm(vec)
     r = Q @ vec - lam * vec
-    resid = float(np.linalg.norm(r))
     wsq = G.weight
     nw = math.sqrt(float(np.sum(wsq * np.abs(vec) ** 2)))
     resid_w = math.sqrt(float(np.sum(wsq * np.abs(r) ** 2))) / max(nw, 1e-300)
-    return GapResult(gap=float(-lam.real), eigenvalue=lam, eigenvector=vec,
-                     residual=resid, residual_weighted=resid_w,
-                     eigenvalues=lams_srt, pi_residual=pi_resid,
-                     converged=resid < 1e-8)
+    if not resid_w < EIGEN_RESID_TOL:
+        raise ConvergenceError(
+            f"gap eigenpair lambda = {lam:.6g} failed its check: weighted "
+            f"residual {resid_w:.3g} (bound {EIGEN_RESID_TOL:g})")
+    return GapResult(gap=float(-lam.real), eigenvalue=lam,
+                     residual_weighted=resid_w, eigenvalues=lams_srt,
+                     pi_residual=pi_resid)
 
 
 def adjoint_residual(G: GeneratorMatrix):
@@ -692,19 +694,16 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
 class SpectralConfig:
     """Constants of the radial drift estimate.
 
-    C bounds |grad ln T| outside the radius r0; the derived
+    C bounds |grad ln T| outside the radius SUP_GRAD_R0 a; the derived
     C_tilde = (mu - eps^2 lam C) / (eps^2 lam) must be positive, which
     pins C < mu / (eps^2 lam).
     """
 
     params: PhysParams
     C: float
-    r0: float = None
 
     def __post_init__(self):
         p = self.params
-        if self.r0 is None:
-            object.__setattr__(self, "r0", 2 * p.a)
         if not 0 < self.C < p.mu / (p.eps ** 2 * p.lam):
             raise ConfigError(
                 f"need 0 < C < mu/(eps^2 lam) = {p.mu / (p.eps ** 2 * p.lam):.4g}")
@@ -716,8 +715,8 @@ class SpectralConfig:
 
     @classmethod
     def from_measurement(cls, p: PhysParams):
-        """Set C to the measured sup of |grad ln T| outside the default
-        r0 = 2a plus SUP_GRAD_MARGIN."""
+        """Set C to the measured sup of |grad ln T| outside SUP_GRAD_R0 a
+        plus SUP_GRAD_MARGIN."""
         sup = sup_log_tangential_gradient(p)
         return cls(params=p, C=sup + SUP_GRAD_MARGIN)
 
@@ -752,9 +751,9 @@ def _sphere_mesh(r, n_angles):
 
 
 def sup_log_tangential_gradient(p: PhysParams):
-    """Largest |grad ln T| on spherical shells from 2a to 50a."""
+    """Largest |grad ln T| on spherical shells from SUP_GRAD_R0 a to 50a."""
     sup = 0.0
-    for r in np.geomspace(2 * p.a, 50 * p.a, SUP_GRAD_N_R):
+    for r in np.geomspace(SUP_GRAD_R0 * p.a, 50 * p.a, SUP_GRAD_N_R):
         pts = _sphere_mesh(r, SUP_GRAD_N_ANGLES)
         g = grad_log_tangential(p, pts)
         sup = max(sup, float(np.max(np.linalg.norm(g, axis=1))))
@@ -768,8 +767,7 @@ class RadialScan:
     eps_part_max: np.ndarray    # max over angles of (eps^2/r)(1 + grad R . x)
     bound: float                # -eps^2 C_tilde / 2
     r1_hat: float               # smallest radius past which max_gu <= bound
-    sup_grad_log_T: float       # over scanned shells outside config.r0
-    config: SpectralConfig
+    sup_grad_log_T: float       # over scanned shells outside SUP_GRAD_R0 a
 
     def columns(self):
         """(r, max_Gu, bound) as equal-length columns for the scan CSV."""
@@ -786,7 +784,7 @@ def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig,
     (eps^2/r)(1 + grad R . x), whose large-radius limit is -mu/lam; the
     smallest scanned radius past which the maximum stays below
     -eps^2 C_tilde/2; and the largest |grad ln T| met on spheres of
-    radius >= cfg.r0.
+    radius >= SUP_GRAD_R0 a.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
@@ -801,7 +799,7 @@ def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig,
         gr_dot = np.sum(grad_r * pts, axis=1)
         part = (e2 / r) * (1.0 + gr_dot)   # (eps^2/2r)(2 + 2 grad R . x)
         gT = grad_log_tangential(p, pts)
-        if r >= cfg.r0:
+        if r >= SUP_GRAD_R0 * p.a:
             sup_gT = max(sup_gT, float(np.max(np.linalg.norm(gT, axis=1))))
         gu = part + (e2 / (2 * r)) * np.sum(gT * pts, axis=1)
         max_gu[k] = float(np.max(gu))
@@ -814,8 +812,7 @@ def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig,
             r1_hat = float(radii[k])
             break
     return RadialScan(radii=radii, max_gu=max_gu, eps_part_max=eps_part,
-                      bound=bound, r1_hat=r1_hat, sup_grad_log_T=sup_gT,
-                      config=cfg)
+                      bound=bound, r1_hat=r1_hat, sup_grad_log_T=sup_gT)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +824,6 @@ class HamiltonianResidual:
     lhs: float
     rhs: float
     rel: float
-    h_used: float
 
 
 def _log_psi_tilde(p: PhysParams, pts):
@@ -878,16 +874,15 @@ def hamiltonian_residual(p: PhysParams, pt) -> HamiltonianResidual:
             continue
         score = abs((v1[0] - v2[0]) / d24 - 4.0)
         if best is None or score < best[0]:
-            best = (score, hc, v2, v4)
+            best = (score, v2, v4)
     if best is None:
         raise SingularPointError(
             "no admissible step: point too close to the phase branch cut")
-    hc, (l2, r2), (l4, r4) = best[1], best[2], best[3]
+    _, (l2, r2), (l4, r4) = best
     lhs = (4 * l4 - l2) / 3          # Richardson-extrapolated
     rhs = (4 * r4 - r2) / 3
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return HamiltonianResidual(lhs=float(lhs), rhs=float(rhs), rel=float(rel),
-                               h_used=hc)
+    return HamiltonianResidual(lhs=float(lhs), rhs=float(rhs), rel=float(rel))
 
 
 def _lhs_rhs(p: PhysParams, pt, h):

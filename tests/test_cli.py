@@ -179,7 +179,20 @@ def test_spectral_gap_report(capsys, tmp_path):
     doc = read_json(tmp_path / "gap_report.json")
     assert doc["gap"] > 0
     assert doc["eigen_residual"] < 1e-8
+    assert "converged" not in doc
     assert doc["params"]["eps"] == 0.3
+
+
+def test_spectral_gap_unchecked_eigenpair_exit_code(capsys, tmp_path):
+    # on the 1-d model grid ARPACK's gap eigenpair fails its residual
+    # check (weighted residual 0.13), so no gap is reported
+    code, out, err = run(capsys, "spectral", "--gap", "--no-autocorr",
+                         "--dim", "1", "--eps", "0.3",
+                         "--out-dir", str(tmp_path))
+    assert code == 3
+    assert "domain error" in err and "weighted residual" in err
+    assert out == ""
+    assert not (tmp_path / "gap_report.json").exists()
 
 
 def test_spectral_scan_csv(capsys, tmp_path):
@@ -222,6 +235,20 @@ def test_verify_quick(capsys):
     ("spectral", "--gap", "--no-autocorr", "--config", {"grid": {"n": "abc"}}),
     ("field", "--point", "0.5,0,0", "--config", {"params": {"ecc": "0.5"}}),
     ("simulate", "--seed", "1", "--config", {"sim": {"x0": ["a", 0, 0]}}),
+    ("spectral", "--gap", "--no-autocorr", "--config",
+     {"grid": {"excluded": 0.5}}),
+    ("field", "--point", "0.5,0,0", "--config", {"grid": {"box": [0, 1, 0, 1]}}),
+    ("simulate", "--figure1", "--seed", "0", "--n-paths", "2"),
+    ("simulate", "--figure1", "--seed", "0", "--n-steps", "100"),
+    ("simulate", "--figure1", "--seed", "0", "--dt", "1e-3"),
+    ("simulate", "--figure1", "--seed", "0", "--record-stride", "5"),
+    ("simulate", "--figure1", "--seed", "0", "--config",
+     {"sim": {"n_paths": 2}}),
+    ("simulate", "--deterministic", "--n-steps", "100"),
+    ("simulate", "--deterministic", "--figure1", "--seed", "0"),
+    ("simulate", "--deterministic", "--config", {"sim": {"dt": 1e-3}}),
+    ("field", "--grid", "2", "--box", "0.5,1,0.5,1", "--z", "nan"),
+    ("field", "--grid", "2", "--box", "0.5,1,0.5,1", "--z", "inf"),
 ])
 def test_malformed_input_exit_code(capsys, tmp_path, argv):
     # a dict stands for a config document, passed as its file's path

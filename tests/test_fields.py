@@ -13,6 +13,7 @@ from kepdiff import (BranchPointWarning, PhysParams, SingularPointError,
                      nodal_coordinate, wave_gradients)
 from kepdiff.fields import (JUMP_MESH, FieldSample, drift_components,
                             near_jump_set)
+from kepdiff.sde import default_drift_cap
 
 from conftest import random_points
 
@@ -291,6 +292,42 @@ def test_drift_focal_ray_raises(p):
     x = p.ecc * z / math.sqrt(1 - p.ecc ** 2)
     with pytest.raises(SingularPointError):
         drift(p, [x, 0.0, z])
+
+
+#: Near the focal cone nu = 0 the drift grows like 2 / sqrt|nu|, so
+#: |nu| >= NU_FLOOR keeps |b| near 63, below the eps-0.1 cap of 100.
+NU_FLOOR = 1e-3
+
+
+def test_drift_capped_near_jump_set_only_at_origin_and_focal_cone(p):
+    # a mesh over the jump set and its surroundings (the planar interval
+    # widened by 5 percent on each side, with points crowding its right
+    # edge, the cone, and |y| up to 0.1 a): outside the ball r <= 0.1 a
+    # and wherever |nu| >= NU_FLOOR the drift stays below the cap
+    cap = default_drift_cap(p)
+    a = p.a
+    zs = np.linspace(-3, 3, 121) * a
+    left, right = jump_interval(p, zs)
+    t = np.concatenate([np.linspace(-0.05, 1.05, 111),
+                        1 - np.geomspace(1e-6, 1e-2, 25)])
+    ys = np.array([0.0, 1e-4, -1e-4, 1e-3, -1e-3, 1e-2, 0.1]) * a
+    X = left[:, None] + t * (right - left)[:, None]
+    pts = np.stack(np.broadcast_arrays(
+        X[:, :, None], ys, zs[:, None, None]), axis=-1).reshape(-1, 3)
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.1 * a]
+    nu = np.abs(nodal_coordinate(p, pts))
+    with np.errstate(all="ignore"):
+        b = np.linalg.norm(drift_components(p, pts.T), axis=0)
+    clear = nu >= NU_FLOOR
+    assert np.count_nonzero(clear) > 80_000
+    assert np.min(nu[clear]) < 1.5 * NU_FLOOR   # the floor is reached
+    assert np.max(b[clear]) < cap
+    # the cap is exceeded right next to the cone, x = e|z|/sqrt(1-e^2)
+    zc = np.array([-2.0, -1.0, 1.0, 2.0]) * a
+    _, xc = jump_interval(p, zc)
+    for dx, dy in ((1e-4, 0.0), (-1e-4, 0.0), (0.0, 1e-4)):
+        near = np.stack([xc + dx * a, np.full(4, dy * a), zc])
+        assert np.all(np.linalg.norm(drift_components(p, near), axis=0) > cap)
 
 
 def test_drift_kepler_speed_and_tangency(p):
