@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import fields, measure, sde, spectral
 from .params import PhysParams
@@ -46,6 +45,9 @@ class CriterionResult:
 def _sample_box(p: PhysParams, n):
     """Quasi-random points (Halton, seed 7) in [-4a, 4a]^3 minus the
     origin ball and a tube around the drift jump set."""
+    # imported here, its only use: scipy.stats would otherwise be about
+    # half of every kepdiff process's import time
+    from scipy.stats import qmc
     eng = qmc.Halton(d=3, seed=7)
     pts = (eng.random(3 * n) - 0.5) * 8 * p.a
     r = np.linalg.norm(pts, axis=1)

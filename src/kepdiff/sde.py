@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fields import (drift_components, elliptic_uv, in_jump_set,
                      jump_distance_many)
@@ -52,6 +51,9 @@ CONV_U_TOL = 0.15
 CONV_Z_TOL = 0.2
 
 _NOISE_CHUNK = 2048
+#: Lanes whose noise is drawn into one contiguous tile before it is
+#: scaled into the lane-strided chunk buffer.
+_NOISE_TILE = 16
 
 #: Time discarded from the start of the autocorrelation and the
 #: marginal ensembles before their statistics are taken.
@@ -290,6 +292,7 @@ def _run_steps(cfg, X0, n_rec):
     states = np.empty((m + 1, 3, n_paths))
     states[0] = X0.T
     capped = np.empty((m, n_paths), dtype=bool)
+    tile = np.empty((min(_NOISE_TILE, n_paths), m, 3))
     # row views made once: a list index is cheaper than an array index
     rows, cap_rows = list(states), list(capped)
     squares = np.empty((3, n_paths))
@@ -307,9 +310,15 @@ def _run_steps(cfg, X0, n_rec):
         while k < n_steps:
             chunk = min(m, n_steps - k)
             S = states[:chunk + 1]
-            for i, g in enumerate(gens):
-                S[1:, :, i] = g.standard_normal((chunk, 3))
-            S[1:] *= scale
+            # each lane's draws go to a contiguous tile row, and one
+            # multiply per tile scales them into the strided lane columns
+            for b in range(0, n_paths, _NOISE_TILE):
+                block = gens[b:b + _NOISE_TILE]
+                T = tile[:len(block), :chunk]
+                for t, g in zip(T, block):
+                    g.standard_normal(out=t)
+                np.multiply(T.transpose(1, 2, 0), scale,
+                            out=S[1:, :, b:b + len(block)])
             for j in range(chunk):
                 X = rows[j]
                 B = drift_components(p, X)
@@ -389,6 +398,9 @@ def deterministic_orbit(p: PhysParams, n_periods=5):
     when the winding is not reached within five third-law periods per
     requested turn.
     """
+    # imported here, its only use, so that other runs do not load it
+    from scipy.integrate import solve_ivp
+
     e, a = p.ecc, p.a
     sq = math.sqrt(1 - e * e)
     target = 2 * math.pi * n_periods

@@ -34,6 +34,7 @@ from functools import cache, cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .fields import (drift, drift_components, ellipse_point, elliptic_uv,
                      in_jump_set, jump_interval, wave_gradients)
@@ -243,12 +244,23 @@ class GeneratorMatrix:
         """SuperLU factor of the matrix with row ``pin`` set to e_pin^T.
 
         The pinned matrix is nonsingular exactly when the chain is
-        irreducible; a singular one raises ConvergenceError.  Columns are
-        ordered by multiple minimum degree on A^T + A, about half the fill
-        of the default COLAMD on 5-point grids (6.6M against 12.4M L+U
-        nonzeros at eps = 0.1).  Computed once, inside the one-BLAS-thread
-        scope of ``stationary_vector``, and shared with ``gap_from_matrix``.
+        irreducible.  SuperLU need not notice a reducible one (the 1-d
+        model grid, cut in two by the origin ball, factors without
+        complaint), so the strongly connected components of the jump
+        graph are counted first: more than one, or a singular factor,
+        raises ConvergenceError.  Columns are ordered by multiple minimum
+        degree on A^T + A, about half the fill of the default COLAMD on
+        5-point grids (6.6M against 12.4M L+U nonzeros at eps = 0.1).
+        Computed once, inside the one-BLAS-thread scope of
+        ``stationary_vector``, and shared with ``gap_from_matrix``.
         """
+        n_comp, _ = connected_components(self.matrix, directed=True,
+                                         connection="strong")
+        if n_comp > 1:
+            raise ConvergenceError(
+                f"generator is reducible: the active nodes form {n_comp} "
+                "disconnected components, so the stationary law is not "
+                "unique")
         C, pin = self.matrix.tocoo(), self.pin
         keep = C.row != pin
         rows = np.concatenate([C.row[keep], [pin]])
@@ -259,8 +271,8 @@ class GeneratorMatrix:
             return spla.splu(M, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise ConvergenceError(
-                "generator is reducible: the active nodes are disconnected, "
-                "so the stationary law is not unique") from exc
+                "the pinned generator is singular although its jump graph "
+                "is strongly connected") from exc
 
 
 def _model_drift_nd(p: PhysParams, nodes, dim):

@@ -184,13 +184,13 @@ def test_spectral_gap_report(capsys, tmp_path):
 
 
 def test_spectral_gap_unchecked_eigenpair_exit_code(capsys, tmp_path):
-    # on the 1-d model grid ARPACK's gap eigenpair fails its residual
-    # check (weighted residual 0.13), so no gap is reported
+    # the origin ball cuts the 1-d model grid into two halves, so the
+    # factorisation refuses it and no gap is reported
     code, out, err = run(capsys, "spectral", "--gap", "--no-autocorr",
                          "--dim", "1", "--eps", "0.3",
                          "--out-dir", str(tmp_path))
     assert code == 3
-    assert "domain error" in err and "weighted residual" in err
+    assert "domain error" in err and "form 2 disconnected components" in err
     assert out == ""
     assert not (tmp_path / "gap_report.json").exists()
 

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -79,3 +82,29 @@ def test_every_public_name_has_a_program_caller():
             if uses[node.name] - (node.name in stmt_names) == 0:
                 offenders.append(f"{path.name}:{node.lineno} {node.name}")
     assert not offenders, "no program caller:\n" + "\n".join(offenders)
+
+
+_LAZY_IMPORTS_PROBE = """
+import sys
+from kepdiff import PhysParams, build_generator, cli, gap_from_matrix
+from kepdiff.spectral import production_grid_2d
+
+assert cli.main(["simulate", "--seed", "0", "--n-steps", "100",
+                 "--n-paths", "2", "--out-dir", sys.argv[1]]) == 0
+p = PhysParams(ecc=0.5, eps=0.3)
+assert gap_from_matrix(build_generator(p, production_grid_2d(p, n=80))).gap > 0
+print("loaded:", *(m for m in ("scipy.stats", "scipy.integrate")
+                   if m in sys.modules))
+"""
+
+
+def test_runs_load_neither_scipy_stats_nor_integrate(tmp_path):
+    # each is imported only where it is called (C1's Halton sample, the
+    # zero-noise orbit), so a simulation or a matrix gap in a fresh
+    # process must load neither
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS_PROBE,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "loaded:"

@@ -307,6 +307,15 @@ def test_ensemble_matches_reference_capped(p):
     assert n_steps % 10 and n_steps % sde._NOISE_CHUNK
 
 
+def test_ensemble_matches_reference_partial_noise_tile(p):
+    # two full noise tiles and a remainder of five lanes, over two full
+    # chunks and a short last one
+    n_paths = 2 * sde._NOISE_TILE + 5
+    _assert_matches_reference(small_cfg(
+        p, n_paths=n_paths, n_steps=2 * sde._NOISE_CHUNK + 3,
+        compute_jump_dist=False))
+
+
 def test_ensemble_matches_reference_all_inactive(p):
     # a ring inside the origin ball: every lane is truncated at step 0
     ens = _assert_matches_reference(small_cfg(

@@ -229,6 +229,17 @@ def test_reducible_generator_raises():
         gap_from_matrix(G)
 
 
+def test_reducible_model_grid_named_before_factoring():
+    # the origin ball cuts the 1-d model grid into two halves.  SuperLU
+    # factors the pinned matrix without complaint and pi passes its
+    # check, so only the component count can name the defect.
+    p = PhysParams(ecc=0.5, eps=0.3)
+    G = build_generator(p, GridSpec(dim=1, box=((-4 * p.a, 4 * p.a),),
+                                    n=400, excluded=0.05 * p.a))
+    with pytest.raises(ConvergenceError, match="form 2 disconnected"):
+        G.pinned_lu
+
+
 def test_stationary_vector_sign_checked():
     # a sign-changing solve is reported, not folded back by |.|
     p = PhysParams(ecc=0.5, eps=0.3)
