@@ -28,7 +28,7 @@ from .sde import (CONV_U_TOL, CONV_Z_TOL, RingStart, SimConfig,
 from .spectral import (AutocorrGap, DirichletCheck, GapResult,
                        GeneratorMatrix, GridSpec, HamiltonianResidual,
                        RadialScan, SpectralConfig, adjoint_residual,
-                       build_generator, default_grid, dirichlet_form_residual,
+                       build_generator, dirichlet_form_residual,
                        gap_from_autocorrelation, gap_from_matrix,
                        hamiltonian_residual, osmotic_radial_scan,
                        stationary_vector, sup_log_tangential_gradient)

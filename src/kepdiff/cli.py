@@ -5,6 +5,9 @@ comes from a single JSON document with sections {params, sim, grid,
 spectral, output}; command-line flags override file values, and every
 artifact embeds the fully resolved configuration.  Stochastic commands
 require an explicit --seed (no wall-clock seeding anywhere).
+`spectral --gap` solves the planar z = 0 restriction on
+`spectral.production_grid_2d`, whose points per axis are the grid
+section's only key, n.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (malformed input, or too few samples for the requested statistic),
@@ -64,7 +67,7 @@ _KEYS = {
             "x0": (_start, "a point [x, y, z] or a ring "
                            "{'ring': {'radius': r, 'z': z}} of numbers"),
             "drift_cap": _REAL, "record_stride": _INT},
-    "grid": {"dim": _INT, "n": _INT},
+    "grid": {"n": _INT},
     "spectral": {"C": _REAL},
     "output": {"dir": _TEXT, "prefix": _TEXT},
 }
@@ -308,6 +311,20 @@ def cmd_measure(args):
 def cmd_spectral(args):
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
+    if not (args.scan or args.gap):
+        raise ConfigError("spectral wants --gap or --scan")
+    # each mode refuses the other's flags rather than silently dropping
+    # them; config sections pass, as one document may serve both modes
+    if args.scan:
+        mode, given = "--scan", {"--gap": args.gap, "--n": args.n is not None,
+                                 "--seed": args.seed is not None,
+                                 "--no-autocorr": args.no_autocorr}
+    else:
+        mode, given = "--gap", {"--radii": args.radii is not None,
+                                "--C": args.C is not None}
+    ignored = [flag for flag, on in given.items() if on]
+    if ignored:
+        raise ConfigError(f"{mode} would ignore {', '.join(ignored)}")
     out_dir, prefix = _out_dir(cfg, args)
     if args.scan:
         sec = cfg.get("spectral", {})
@@ -330,22 +347,13 @@ def cmd_spectral(args):
                           "sup_grad_log_T": scan.sup_grad_log_T,
                           "C": scfg.C}, sort_keys=True))
         return 0
-    if not args.gap:
-        raise ConfigError("spectral wants --gap or --scan")
     if not args.no_autocorr and args.seed is None:
         raise ConfigError("--gap with autocorrelation requires --seed "
                           "(pass --no-autocorr to skip)")
-    gsec = cfg.get("grid", {})
-    dim = gsec.get("dim", 2) if args.dim is None else args.dim
-    n = gsec.get("n") if args.n is None else args.n
-    if dim not in (1, 2, 3):
-        raise ConfigError(f"grid dim must be 1, 2 or 3, got {dim!r}")
+    n = cfg.get("grid", {}).get("n") if args.n is None else args.n
     if n is not None:
         _at_least_one("grid n", n)
-    if dim == 2:
-        grid = spectral.production_grid_2d(p, n=n)
-    else:
-        grid = spectral.default_grid(p, dim=dim, n=n)
+    grid = spectral.production_grid_2d(p, n=n)
     G = spectral.build_generator(p, grid)
     res = spectral.gap_from_matrix(G)
     report = {"params": p.as_dict(), "grid": grid.as_dict(),
@@ -430,7 +438,6 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--gap", action="store_true")
     sp.add_argument("--scan", action="store_true")
-    sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--no-autocorr", dest="no_autocorr", action="store_true")
     sp.add_argument("--radii", default=None)

@@ -126,30 +126,26 @@ def _one_blas_thread():
 class GridSpec:
     """Uniform cell-centred grid on a box with an excluded origin ball.
 
-    dim may be 1 (control problems), 2 (the z = 0 restriction, the
-    default production setting) or 3.  n is points per axis (int, or one
-    int per axis); spacing must come out equal on all axes.  The boundary
-    is reflecting: transitions leaving the box or entering the excluded
-    ball are simply dropped.
+    dim is 1 (control problems) or 2 (the z = 0 restriction, on which
+    every model gap is computed).  n is points per axis; spacing must
+    come out equal on all axes.  The boundary is reflecting: transitions
+    leaving the box or entering the excluded ball are simply dropped.
     """
 
     dim: int
     box: tuple
-    n: tuple
+    n: int
     excluded: float = 0.0
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ConfigError("dim must be 1, 2 or 3")
+        if self.dim not in (1, 2):
+            raise ConfigError("dim must be 1 or 2")
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
         if len(box) != self.dim:
             raise ConfigError("box must give one (lo, hi) pair per axis")
-        n = self.n if isinstance(self.n, tuple) else (int(self.n),) * self.dim
-        if len(n) != self.dim:
-            raise ConfigError("n must be an int or one int per axis")
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "n", n)
-        hs = [(hi - lo) / nn for (lo, hi), nn in zip(box, n)]
+        object.__setattr__(self, "n", int(self.n))
+        hs = [(hi - lo) / self.n for lo, hi in box]
         if max(hs) - min(hs) > 1e-12 * max(hs):
             raise ConfigError(f"grid spacing must be uniform, got {hs}")
         if self.excluded > 0:
@@ -159,59 +155,46 @@ class GridSpec:
 
     @property
     def h(self):
-        (lo, hi), nn = self.box[0], self.n[0]
-        return (hi - lo) / nn
+        lo, hi = self.box[0]
+        return (hi - lo) / self.n
 
     def axes(self):
-        return [lo + (np.arange(nn) + 0.5) * self.h
-                for (lo, _), nn in zip(self.box, self.n)]
+        return [lo + (np.arange(self.n) + 0.5) * self.h
+                for lo, _ in self.box]
 
     def mesh(self):
         return np.meshgrid(*self.axes(), indexing="ij")
 
     def as_dict(self):
         return {"dim": self.dim, "box": [list(b) for b in self.box],
-                "n": list(self.n), "excluded": self.excluded}
-
-
-def default_grid(p: PhysParams, dim=2, n=None) -> GridSpec:
-    """Box [-4a, 4a] per axis, origin ball 0.05 a, production defaults.
-
-    The 3D build is supported but gated behind a smaller default n; at
-    volcano-resolving spacing 3D is desk-feasible only at coarse eps.
-    """
-    a = p.a
-    if n is None:
-        n = {1: 400, 2: 200, 3: 48}[dim]
-    return GridSpec(dim=dim, box=tuple((-4 * a, 4 * a) for _ in range(dim)),
-                    n=n, excluded=0.05 * a)
+                "n": [self.n] * self.dim, "excluded": self.excluded}
 
 
 def production_grid_2d(p: PhysParams, n=None) -> GridSpec:
     """Grid for the z = 0 restriction sized to the stationary support.
 
-    The ridge lives on the ellipse (x in [-a(1+e), a(1-e)], |y| up to
-    a sqrt(1-e^2)) with O(eps) cross-sections; a box clearing it by
-    many widths keeps the matrix small at volcano-resolving spacing.
-    n defaults to spacing w/8, with w the narrowest ridge width: twice
-    as fine as the h < w/4 resolution check needs (at ecc 0.5, eps 0.1
-    the default n is 370, and the check needs n >= 185).
+    This is the grid of every model gap (``spectral --gap``, criterion
+    7, the gap-curve script).  The ridge lives on the ellipse
+    (x in [-a(1+e), a(1-e)], |y| up to a sqrt(1-e^2)) with O(eps)
+    cross-sections; a box clearing it by many widths keeps the matrix
+    small at volcano-resolving spacing.  n defaults to spacing w/8, with
+    w the narrowest ridge width: twice as fine as the h < w/4
+    resolution check needs (at ecc 0.5, eps 0.1 the default n is 370,
+    and the check needs n >= 185).
     """
     a = p.a
     box = ((-2.6 * a, 1.4 * a), (-2.0 * a, 2.0 * a))
     if n is None:
-        wmin = min_effective_width(p, 2)
+        wmin = min_effective_width(p)
         n = int(math.ceil(4.0 * a / (wmin / 8.0)))
     return GridSpec(dim=2, box=box, n=int(n), excluded=0.05 * a)
 
 
-def min_effective_width(p: PhysParams, dim: int) -> float:
-    vs = np.linspace(0, 2 * np.pi, 721)
-    sn, sz = cross_section_widths(p, vs)
-    w = float(np.min(sn))
-    if dim == 3:
-        w = min(w, float(np.min(sz)))
-    return w
+def min_effective_width(p: PhysParams) -> float:
+    """The narrowest normal cross-section width of the ridge around the
+    ellipse, the length a model grid's spacing must resolve."""
+    sn, _ = cross_section_widths(p, np.linspace(0, 2 * np.pi, 721))
+    return float(np.min(sn))
 
 
 @dataclass
@@ -306,7 +289,7 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
     """
     h = grid.h
     if check_resolution and drift_fn == "model":
-        wmin = min_effective_width(p, grid.dim)
+        wmin = min_effective_width(p)
         if not h < wmin / 4:
             raise ResolutionError(
                 f"grid spacing {h:.4g} does not resolve the stationary "

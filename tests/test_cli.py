@@ -1,11 +1,13 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kepdiff import sde
-from kepdiff.cli import main
+from kepdiff import ConvergenceError, sde, spectral
+from kepdiff.cli import build_parser, main
 from kepdiff.io import read_json, write_json
 
 
@@ -183,14 +185,19 @@ def test_spectral_gap_report(capsys, tmp_path):
     assert doc["params"]["eps"] == 0.3
 
 
-def test_spectral_gap_unchecked_eigenpair_exit_code(capsys, tmp_path):
-    # the origin ball cuts the 1-d model grid into two halves, so the
-    # factorisation refuses it and no gap is reported
+def test_spectral_gap_unchecked_eigenpair_exit_code(capsys, tmp_path,
+                                                    monkeypatch):
+    # no planar grid reaches the solver's refusals from the command line
+    # (test_spectral covers them), so the solver is made to refuse here
+    def refuse(G):
+        raise ConvergenceError("gap eigenpair weighted residual 0.134")
+
+    monkeypatch.setattr(spectral, "gap_from_matrix", refuse)
     code, out, err = run(capsys, "spectral", "--gap", "--no-autocorr",
-                         "--dim", "1", "--eps", "0.3",
+                         "--eps", "0.3", "--n", "120",
                          "--out-dir", str(tmp_path))
     assert code == 3
-    assert "domain error" in err and "form 2 disconnected components" in err
+    assert "domain error" in err and "weighted residual 0.134" in err
     assert out == ""
     assert not (tmp_path / "gap_report.json").exists()
 
@@ -228,9 +235,7 @@ def test_verify_quick(capsys):
     ("field", "--check-identities", "--n", "-5"),
     ("measure", "--widths", "--bins", "-3"),
     ("measure", "--marginal", "--bins", "0", "--seed", "1"),
-    ("spectral", "--gap", "--no-autocorr", "--dim", "4"),
     ("spectral", "--gap", "--no-autocorr", "--config", {"grid": {"dim": 4}}),
-    ("spectral", "--gap", "--no-autocorr", "--dim", "0"),
     ("simulate", "--seed", "1", "--config", {"sim": {"n_steps": "100"}}),
     ("spectral", "--gap", "--no-autocorr", "--config", {"grid": {"n": "abc"}}),
     ("field", "--point", "0.5,0,0", "--config", {"params": {"ecc": "0.5"}}),
@@ -249,6 +254,16 @@ def test_verify_quick(capsys):
     ("simulate", "--deterministic", "--config", {"sim": {"dt": 1e-3}}),
     ("field", "--grid", "2", "--box", "0.5,1,0.5,1", "--z", "nan"),
     ("field", "--grid", "2", "--box", "0.5,1,0.5,1", "--z", "inf"),
+    ("spectral", "--gap", "--no-autocorr", "--eps", "0.3", "--n", "120",
+     "--config", {"grid": {"dim": 2}}),
+    ("spectral", "--scan", "--radii", "1,5", "--gap"),
+    ("spectral", "--scan", "--radii", "1,5", "--n", "5"),
+    ("spectral", "--scan", "--radii", "1,5", "--seed", "3"),
+    ("spectral", "--scan", "--radii", "1,5", "--no-autocorr"),
+    ("spectral", "--gap", "--no-autocorr", "--eps", "0.3", "--n", "120",
+     "--radii", "1,x"),
+    ("spectral", "--gap", "--no-autocorr", "--eps", "0.3", "--n", "120",
+     "--C", "0.5"),
 ])
 def test_malformed_input_exit_code(capsys, tmp_path, argv):
     # a dict stands for a config document, passed as its file's path
@@ -260,6 +275,31 @@ def test_malformed_input_exit_code(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
     assert code == 2
     assert "config error" in err
+
+
+def test_removed_dim_flag_rejected(capsys):
+    # model gaps are planar only: argparse refuses --dim as unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", "--gap", "--no-autocorr", "--dim", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dim 2" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # every example in README's CLI block names flags the parser knows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("kepdiff ")]
+    assert lines
+    parser = build_parser()
+    bad = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            bad.append(line.strip())
+    assert not bad, f"README CLI examples that do not parse: {bad}"
 
 
 def test_io_error_exit_code(capsys, tmp_path):

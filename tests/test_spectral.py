@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from kepdiff import (ConfigError, ConvergenceError, GridSpec, PhysParams,
                      ResolutionError, SimConfig, SpectralConfig,
-                     adjoint_residual, build_generator, default_grid,
+                     adjoint_residual, build_generator,
                      dirichlet_form_residual, gap_from_autocorrelation,
                      gap_from_matrix, hamiltonian_residual,
                      osmotic_radial_scan, simulate_ensemble,
@@ -38,15 +38,22 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         GridSpec(dim=4, box=((0, 1),) * 4, n=8)
     with pytest.raises(ConfigError):
+        GridSpec(dim=3, box=((0, 1),) * 3, n=8)  # model gaps are planar
+    with pytest.raises(ConfigError):
         GridSpec(dim=2, box=((0, 1), (0, 2)), n=10)  # nonuniform spacing
     with pytest.raises(ConfigError):
         GridSpec(dim=2, box=((0, 1), (0, 1)), n=10, excluded=0.2)
 
 
 def test_resolution_precondition():
+    # the gate h < w/4 sits between n = 184 (spacing 0.02174 against the
+    # 0.02165 it needs) and 185, half the default n: the default spacing
+    # is twice as fine as the gate needs
     p = PhysParams(ecc=0.5, eps=0.1)
     with pytest.raises(ResolutionError):
-        build_generator(p, default_grid(p, dim=2, n=100))
+        build_generator(p, production_grid_2d(p, n=184))
+    assert build_generator(p, production_grid_2d(p, n=185)).n_nodes == 34_208
+    assert production_grid_2d(p).n == 370
 
 
 def test_markov_sign_structure(model_gen):
@@ -65,25 +72,6 @@ def test_zero_drift_symmetric_with_constant_kernel():
     Q = G.matrix
     assert (Q - Q.T).nnz == 0 or abs((Q - Q.T)).max() < 1e-14
     assert np.max(np.abs(Q @ np.ones(Q.shape[0]))) < 1e-12
-
-
-def test_three_dimensional_build_supported():
-    # the 3d generator is supported behind the resolution gate: the
-    # default-box spacing cannot resolve the ridge at production eps
-    # (that raises), but the assembly, sign structure and eigen
-    # machinery all run on a coarse research grid
-    p = PhysParams(ecc=0.5, eps=0.3)
-    with pytest.raises(ResolutionError):
-        build_generator(p, default_grid(p, dim=3))
-    grid = GridSpec(dim=3, box=((-2.0, 2.0),) * 3, n=24, excluded=0.05)
-    G = build_generator(p, grid, check_resolution=False)
-    Q = G.matrix.tocoo()
-    assert Q.data[Q.row != Q.col].min() >= 0.0
-    row_sums = np.asarray(G.matrix.sum(axis=1)).ravel()
-    assert np.max(np.abs(row_sums[G.interior])) < 1e-12
-    assert G.nodes.shape[1] == 3
-    res = gap_from_matrix(G)
-    assert res.gap > 0
 
 
 def test_nan_drift_rejected():
