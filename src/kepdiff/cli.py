@@ -162,6 +162,18 @@ def _at_least_one(name, value):
     return value
 
 
+def _refuse(mode, args, *flags, extra=()):
+    """ConfigError naming each of flags given on the command line, and
+    each entry of extra: mode would ignore them, so they are refused
+    rather than silently dropped."""
+    values = [getattr(args, flag[2:].replace("-", "_")) for flag in flags]
+    # identity tests: a given 0 compares equal to False
+    ignored = [flag for flag, v in zip(flags, values)
+               if v is not None and v is not False] + [*extra]
+    if ignored:
+        raise ConfigError(f"{mode} would ignore {', '.join(ignored)}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -170,6 +182,8 @@ def cmd_field(args):
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
     if args.check_identities:
+        _refuse("--check-identities", args, "--point", "--grid", "--box",
+                "--z", "--out")
         n = 10_000 if args.n is None else _at_least_one("--n", args.n)
         en, orth = acceptance.identity_residuals(p, n)
         print(json.dumps({"config": p.as_dict(), "n_points": n,
@@ -178,16 +192,18 @@ def cmd_field(args):
         return 0 if (en < acceptance.IDENTITY_ENERGY_TOL
                      and orth < acceptance.IDENTITY_ORTH_TOL) else 1
     if args.grid is not None:
+        _refuse("--grid", args, "--point", "--n")
         n = _at_least_one("--grid", args.grid)
         if not args.box:
             raise ConfigError("--grid needs --box x0,x1,y0,y1")
         x0, x1, y0, y1 = _parse_floats("--box", args.box, 4)
-        if not math.isfinite(args.z):
-            raise ConfigError(f"--z wants a finite number, got {args.z}")
+        z = 0.0 if args.z is None else args.z
+        if not math.isfinite(z):
+            raise ConfigError(f"--z wants a finite number, got {z}")
         xs = np.linspace(x0, x1, n)
         ys = np.linspace(y0, y1, n)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([X, Y, np.full_like(X, args.z)], axis=-1).reshape(-1, 3)
+        pts = np.stack([X, Y, np.full_like(X, z)], axis=-1).reshape(-1, 3)
         with np.errstate(all="ignore"):
             alpha, beta = fields.alpha_beta(p, pts)
             b = fields.drift(p, pts)
@@ -198,11 +214,12 @@ def cmd_field(args):
         write_csv(out, ["x", "y", "z", "alpha", "beta", "b_x", "b_y", "b_z",
                         "log_density"], zip(*(np.split(c, n) for c in cols)),
                   metadata={"params": p.as_dict(), "grid": n,
-                            "box": [x0, x1, y0, y1], "z": args.z})
+                            "box": [x0, x1, y0, y1], "z": z})
         print(f"wrote {out}")
         return 0
     if args.point is None:
         raise ConfigError("field wants --point, --grid or --check-identities")
+    _refuse("--point", args, "--box", "--z", "--out", "--n")
     pt = _parse_floats("--point", args.point, 3)
     sample = fields.FieldSample.at(p, pt)
     print(json.dumps({"config": p.as_dict(), "point": pt.tolist(),
@@ -213,27 +230,26 @@ def cmd_field(args):
 def cmd_simulate(args):
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
-    if args.deterministic or args.figure1:
-        # a preset fixes the run: flags and config values shaping it are
-        # refused rather than silently dropped
-        mode = "--deterministic" if args.deterministic else "--figure1"
-        ignored = [f"--{key.replace('_', '-')}" for key in
-                   ("dt", "n_steps", "n_paths", "record_stride")
-                   if getattr(args, key) is not None]
-        if args.deterministic and args.figure1:
-            ignored.append("--figure1")
-        if cfg.get("sim"):
-            ignored.append("the config's sim section")
-        if ignored:
-            raise ConfigError(f"{mode} would ignore {', '.join(ignored)}")
+    # a preset fixes the run: flags and config values shaping it are
+    # refused, and only --deterministic reads --n-periods
+    preset = ("--dt", "--n-steps", "--n-paths", "--record-stride")
+    sim_section = ["the config's sim section"] if cfg.get("sim") else []
+    if args.deterministic:
+        _refuse("--deterministic", args, *preset, "--figure1",
+                extra=sim_section)
+    elif args.figure1:
+        _refuse("--figure1", args, *preset, "--n-periods", extra=sim_section)
+    else:
+        _refuse("simulate without --deterministic", args, "--n-periods")
     out_dir, prefix = _out_dir(cfg, args)
 
     if args.deterministic:
-        _at_least_one("--n-periods", args.n_periods)
-        period, _ = sde.deterministic_orbit(p, n_periods=args.n_periods)
+        n_periods = 5 if args.n_periods is None else _at_least_one(
+            "--n-periods", args.n_periods)
+        period, _ = sde.deterministic_orbit(p, n_periods=n_periods)
         theory = 2 * math.pi * math.sqrt(p.a ** 3 / p.mu)
         report = {"config": {"params": p.as_dict(), "mode": "deterministic",
-                             "n_periods": args.n_periods},
+                             "n_periods": n_periods},
                   "period": period,
                   "period_theory": theory,
                   "relative_error": abs(period / theory - 1)}
@@ -265,9 +281,12 @@ def cmd_simulate(args):
 def cmd_measure(args):
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
+    if not (args.marginal or args.widths):
+        raise ConfigError("measure wants --marginal and/or --widths")
+    if not args.marginal:
+        _refuse("--widths", args, "--seed", "--samples")
     _at_least_one("--bins", args.bins)
     out_dir, prefix = _out_dir(cfg, args)
-    did = False
     if args.widths:
         vs = np.linspace(0, 2 * np.pi, args.bins, endpoint=False)
         sn, sz = measure.cross_section_widths(p, vs)
@@ -275,11 +294,11 @@ def cmd_measure(args):
         write_csv(path, ["v", "sigma_normal", "sigma_z"], [(vs, sn, sz)],
                   metadata={"params": p.as_dict()})
         print(f"wrote {path}")
-        did = True
     if args.marginal:
         if args.seed is None:
             raise ConfigError("--marginal requires --seed")
-        samples = int(_parse_floats("--samples", args.samples, 1)[0])
+        text = "1e6" if args.samples is None else args.samples
+        samples = int(_parse_floats("--samples", text, 1)[0])
         burn = sde.MARGINAL_BURN_IN
         sim = sde.SimConfig.marginal(p, args.seed, samples)
         # truncated paths can only lower this bound, so it is checked
@@ -297,14 +316,15 @@ def cmd_measure(args):
         mpath = os.path.join(out_dir, prefix + "marginal.csv")
         write_csv(mpath, ["bin_center", "empirical", "analytic"],
                   [(marg.centers, emp, ana)], metadata=meta)
+        v, zemp, zpred = measure.z_spread_by_angle(ens, p, burn_in=burn)
         summary = {"config": meta, "l1": marg.l1_distance(p.ecc),
-                   "chi2": marg.chi2(p.ecc), "samples": marg.total}
+                   "chi2": marg.chi2(p.ecc), "samples": marg.total,
+                   "z_spread": {"v": v.tolist(), "empirical": zemp.tolist(),
+                                "gaussian_prediction": zpred.tolist(),
+                                "width_factor": measure.GAUSS_WIDTH_FACTOR}}
         spath = os.path.join(out_dir, prefix + "marginal_summary.json")
         write_json(spath, summary)
         print(json.dumps(summary, sort_keys=True))
-        did = True
-    if not did:
-        raise ConfigError("measure wants --marginal and/or --widths")
     return 0
 
 
@@ -313,18 +333,12 @@ def cmd_spectral(args):
     p = _params_from(cfg, args)
     if not (args.scan or args.gap):
         raise ConfigError("spectral wants --gap or --scan")
-    # each mode refuses the other's flags rather than silently dropping
-    # them; config sections pass, as one document may serve both modes
+    # each mode refuses the other's flags; config sections pass, as one
+    # document may serve both modes
     if args.scan:
-        mode, given = "--scan", {"--gap": args.gap, "--n": args.n is not None,
-                                 "--seed": args.seed is not None,
-                                 "--no-autocorr": args.no_autocorr}
+        _refuse("--scan", args, "--gap", "--n", "--seed", "--no-autocorr")
     else:
-        mode, given = "--gap", {"--radii": args.radii is not None,
-                                "--C": args.C is not None}
-    ignored = [flag for flag, on in given.items() if on]
-    if ignored:
-        raise ConfigError(f"{mode} would ignore {', '.join(ignored)}")
+        _refuse("--gap", args, "--radii", "--C")
     out_dir, prefix = _out_dir(cfg, args)
     if args.scan:
         sec = cfg.get("spectral", {})
@@ -403,7 +417,7 @@ def build_parser():
     sp.add_argument("--grid", type=int, default=None,
                     help="emit an N x N field table")
     sp.add_argument("--box", default=None, help="x0,x1,y0,y1 for --grid")
-    sp.add_argument("--z", type=float, default=0.0)
+    sp.add_argument("--z", type=float, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--check-identities", action="store_true")
     sp.add_argument("--n", type=int, default=None)
@@ -421,7 +435,7 @@ def build_parser():
                     help="showcase ensemble preset (ecc 0.5, eps 0.1)")
     sp.add_argument("--deterministic", action="store_true",
                     help="zero-noise orbit, reports the measured period")
-    sp.add_argument("--n-periods", dest="n_periods", type=int, default=5)
+    sp.add_argument("--n-periods", dest="n_periods", type=int, default=None)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("measure", help="invariant-measure reports")
@@ -429,7 +443,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--marginal", action="store_true")
     sp.add_argument("--widths", action="store_true")
-    sp.add_argument("--samples", default="1e6")
+    sp.add_argument("--samples", default=None)
     sp.add_argument("--bins", type=int, default=64)
     sp.set_defaults(func=cmd_measure)
 

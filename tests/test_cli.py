@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kepdiff import ConvergenceError, sde, spectral
+from kepdiff import GAUSS_WIDTH_FACTOR, ConvergenceError, sde, spectral
 from kepdiff.cli import build_parser, main
 from kepdiff.io import read_json, write_json
 
@@ -153,6 +153,9 @@ def test_measure_marginal_small(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["samples"] >= 12000
     assert doc["l1"] < 0.5
+    assert set(doc["z_spread"]) == {"v", "empirical", "gaussian_prediction",
+                                    "width_factor"}
+    assert doc["z_spread"]["width_factor"] == GAUSS_WIDTH_FACTOR
     lines = (tmp_path / "marginal.csv").read_text().splitlines()
     assert lines[1] == "bin_center,empirical,analytic"
 
@@ -264,9 +267,21 @@ def test_verify_quick(capsys):
      "--radii", "1,x"),
     ("spectral", "--gap", "--no-autocorr", "--eps", "0.3", "--n", "120",
      "--C", "0.5"),
+    ("field", "--grid", "2", "--box", "0.5,1,0.5,1", "--point", "1,a,0",
+     "--out", "f.csv"),
+    ("field", "--check-identities", "--n", "200", "--point", "1,a,0",
+     "--grid", "3"),
+    ("field", "--point", "0.5,0,0", "--z", "7", "--box", "x",
+     "--out", "never.csv"),
+    ("measure", "--widths", "--samples", "abc", "--seed", "1"),
+    ("measure", "--widths", "--seed", "0"),
+    ("simulate", "--seed", "1", "--n-steps", "10", "--n-paths", "2",
+     "--n-periods", "0"),
 ])
-def test_malformed_input_exit_code(capsys, tmp_path, argv):
-    # a dict stands for a config document, passed as its file's path
+def test_malformed_input_exit_code(capsys, tmp_path, monkeypatch, argv):
+    # a dict stands for a config document, passed as its file's path; a
+    # relative --out lands in tmp_path
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "config.json"
     for arg in argv:
         if isinstance(arg, dict):

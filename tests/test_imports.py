@@ -60,8 +60,7 @@ def _referenced_names(tree):
 def test_every_public_name_has_a_program_caller():
     # a module-level public function or class must be used by another
     # kepdiff module, by its own module outside its definition, or by
-    # scripts/ or perfbench/; tests and the __init__ re-exports do not
-    # count
+    # perfbench/; tests and the __init__ re-exports do not count
     bodies = {path: ast.parse(path.read_text(), filename=str(path)).body
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     names = {path: [_referenced_names(stmt) for stmt in body]
@@ -70,8 +69,7 @@ def test_every_public_name_has_a_program_caller():
     uses = Counter(name for per_stmt in names.values()
                    for stmt_names in per_stmt for name in stmt_names)
     outside = set()
-    for path in sorted(ROOT.glob("scripts/*.py")) + sorted(
-            ROOT.glob("perfbench/*.py")):
+    for path in sorted(ROOT.glob("perfbench/*.py")):
         outside |= _referenced_names(ast.parse(path.read_text()))
     offenders = []
     for path, body in bodies.items():
