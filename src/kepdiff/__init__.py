@@ -8,11 +8,11 @@ and spectral-gap estimation for the generator.
 from .params import (BranchPointWarning, ConfigError, ConvergenceError,
                      InsufficientSamplesError, KepdiffError, NodeError,
                      PhysParams, ResolutionError, SingularPointError)
-from .fields import (EllipticCoords, FieldSample, alpha_beta,
-                     complex_velocity, drift, drift_root, ellipse_point,
-                     ellipse_tangent, from_elliptic, in_jump_set,
-                     jump_distance_many, jump_interval, kepler_speed,
-                     nodal_coordinate, to_elliptic, wave_gradients)
+from .fields import (alpha_beta, complex_velocity, drift, drift_root,
+                     ellipse_point, ellipse_tangent, field_report,
+                     from_elliptic, in_jump_set, jump_distance_many,
+                     jump_interval, kepler_speed, nodal_coordinate,
+                     to_elliptic, wave_gradients)
 from .specfun import (PolyEval, complex_velocity_finite, hermite,
                       hermite_ratio, laguerre, laguerre_ratio, log_amplitude,
                       log_wave)

@@ -292,8 +292,7 @@ def criterion_8():
 
     res_h = []
     for n in (120, 240):
-        g = spectral.build_generator(p, _model_grid(p, n=n),
-                                     check_resolution=False)
+        g = spectral.build_generator(p, _model_grid(p, n=n))
         res_h.append(spectral.adjoint_residual(g))
     rate = res_h[0] / res_h[1]
     ok &= res_h[1] < res_h[0] and rate > 1.3
@@ -314,7 +313,7 @@ def criterion_8():
     p_scan = PhysParams(ecc=0.5, eps=0.1)
     cfg = spectral.SpectralConfig.from_measurement(p_scan)
     radii = np.geomspace(0.1, 100.0, 25) * p_scan.a
-    scan = spectral.osmotic_radial_scan(p_scan, cfg, radii)
+    scan = spectral.osmotic_radial_scan(cfg, radii)
     asym = scan.eps_part_max[-1]
     target = -p_scan.mu / p_scan.lam
     half = -p_scan.mu / (2 * p_scan.lam)

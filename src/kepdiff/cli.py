@@ -135,6 +135,8 @@ def _sim_config(cfg, args, p):
 
 
 def _out_dir(cfg, args):
+    """The output directory (made here) and file prefix; called after every
+    input check, so a refused command leaves nothing behind."""
     sec = cfg.get("output", {})
     d = getattr(args, "out_dir", None) or sec.get("dir", ".")
     os.makedirs(d, exist_ok=True)
@@ -221,9 +223,8 @@ def cmd_field(args):
         raise ConfigError("field wants --point, --grid or --check-identities")
     _refuse("--point", args, "--box", "--z", "--out", "--n")
     pt = _parse_floats("--point", args.point, 3)
-    sample = fields.FieldSample.at(p, pt)
     print(json.dumps({"config": p.as_dict(), "point": pt.tolist(),
-                      **sample.as_dict()}, sort_keys=True))
+                      **fields.field_report(p, pt)}, sort_keys=True))
     return 0
 
 
@@ -237,15 +238,19 @@ def cmd_simulate(args):
     if args.deterministic:
         _refuse("--deterministic", args, *preset, "--figure1",
                 extra=sim_section)
+        n_periods = 5 if args.n_periods is None else _at_least_one(
+            "--n-periods", args.n_periods)
     elif args.figure1:
         _refuse("--figure1", args, *preset, "--n-periods", extra=sim_section)
+        if args.seed is None:
+            raise ConfigError("--figure1 requires --seed")
+        sim = sde.SimConfig.figure1(p, args.seed)
     else:
         _refuse("simulate without --deterministic", args, "--n-periods")
+        sim = _sim_config(cfg, args, p)
     out_dir, prefix = _out_dir(cfg, args)
 
     if args.deterministic:
-        n_periods = 5 if args.n_periods is None else _at_least_one(
-            "--n-periods", args.n_periods)
         period, _ = sde.deterministic_orbit(p, n_periods=n_periods)
         theory = 2 * math.pi * math.sqrt(p.a ** 3 / p.mu)
         report = {"config": {"params": p.as_dict(), "mode": "deterministic",
@@ -258,12 +263,6 @@ def cmd_simulate(args):
         print(json.dumps(report, sort_keys=True))
         return 0
 
-    if args.figure1:
-        if args.seed is None:
-            raise ConfigError("--figure1 requires --seed")
-        sim = sde.SimConfig.figure1(p, args.seed)
-    else:
-        sim = _sim_config(cfg, args, p)
     ens = sde.simulate_ensemble(sim)
     rep = sde.kepler_diagnostics(ens, p)
     meta = sim.as_dict()
@@ -286,14 +285,6 @@ def cmd_measure(args):
     if not args.marginal:
         _refuse("--widths", args, "--seed", "--samples")
     _at_least_one("--bins", args.bins)
-    out_dir, prefix = _out_dir(cfg, args)
-    if args.widths:
-        vs = np.linspace(0, 2 * np.pi, args.bins, endpoint=False)
-        sn, sz = measure.cross_section_widths(p, vs)
-        path = os.path.join(out_dir, prefix + "widths.csv")
-        write_csv(path, ["v", "sigma_normal", "sigma_z"], [(vs, sn, sz)],
-                  metadata={"params": p.as_dict()})
-        print(f"wrote {path}")
     if args.marginal:
         if args.seed is None:
             raise ConfigError("--marginal requires --seed")
@@ -308,6 +299,15 @@ def cmd_measure(args):
             raise InsufficientSamplesError(
                 f"--samples {samples} yields at most {most} post-burn-in "
                 f"samples; need >= {measure.MIN_MARGINAL_SAMPLES}")
+    out_dir, prefix = _out_dir(cfg, args)
+    if args.widths:
+        vs = np.linspace(0, 2 * np.pi, args.bins, endpoint=False)
+        sn, sz = measure.cross_section_widths(p, vs)
+        path = os.path.join(out_dir, prefix + "widths.csv")
+        write_csv(path, ["v", "sigma_normal", "sigma_z"], [(vs, sn, sz)],
+                  metadata={"params": p.as_dict()})
+        print(f"wrote {path}")
+    if args.marginal:
         ens = sde.simulate_ensemble(sim)
         marg = measure.empirical_marginal(ens, bins=args.bins, burn_in=burn)
         emp = marg.probabilities
@@ -337,10 +337,6 @@ def cmd_spectral(args):
     # document may serve both modes
     if args.scan:
         _refuse("--scan", args, "--gap", "--n", "--seed", "--no-autocorr")
-    else:
-        _refuse("--gap", args, "--radii", "--C")
-    out_dir, prefix = _out_dir(cfg, args)
-    if args.scan:
         sec = cfg.get("spectral", {})
         if args.C is not None:
             scfg = spectral.SpectralConfig(params=p, C=args.C)
@@ -352,7 +348,8 @@ def cmd_spectral(args):
             radii = _parse_floats("--radii", args.radii, None)
         else:
             radii = np.geomspace(0.1, 100.0, 25) * p.a
-        scan = spectral.osmotic_radial_scan(p, scfg, radii)
+        scan = spectral.osmotic_radial_scan(scfg, radii)
+        out_dir, prefix = _out_dir(cfg, args)
         path = os.path.join(out_dir, prefix + "radial_scan.csv")
         write_csv(path, ["r", "max_Gu", "bound"], [scan.columns()],
                   metadata={"params": p.as_dict(), "C": scfg.C,
@@ -361,6 +358,7 @@ def cmd_spectral(args):
                           "sup_grad_log_T": scan.sup_grad_log_T,
                           "C": scfg.C}, sort_keys=True))
         return 0
+    _refuse("--gap", args, "--radii", "--C")
     if not args.no_autocorr and args.seed is None:
         raise ConfigError("--gap with autocorrelation requires --seed "
                           "(pass --no-autocorr to skip)")
@@ -368,7 +366,8 @@ def cmd_spectral(args):
     if n is not None:
         _at_least_one("grid n", n)
     grid = spectral.production_grid_2d(p, n=n)
-    G = spectral.build_generator(p, grid)
+    G = spectral.build_generator(p, grid)  # the resolution gate on n
+    out_dir, prefix = _out_dir(cfg, args)
     res = spectral.gap_from_matrix(G)
     report = {"params": p.as_dict(), "grid": grid.as_dict(),
               **res.as_dict()}

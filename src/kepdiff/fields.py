@@ -10,6 +10,11 @@ All evaluators are vectorised: points are arrays of shape (..., 3) and
 results broadcast over the leading axes.  Scalar convenience falls out of
 passing a single (3,) point.
 
+The wave-field evaluators share one set of singular-point checks:
+:func:`nodal_coordinate` (and :func:`alpha_beta`) rejects the origin,
+:func:`drift_root` the focal ray nu = 0, and it warns at nu = 4.  Their
+callers here and in :mod:`kepdiff.specfun` reach them before any 1/|x|.
+
 Conventions fixed here (and exercised by the test suite):
 
 * the drift root w = sqrt(1 - 4/nu) uses the principal square root
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -134,11 +138,9 @@ def complex_velocity(p: PhysParams, pt):
     Z.Z/2 - mu/|x| = -mu^2/(2 lam^2) everywhere it is defined.
     """
     pt = as_points(pt)
-    r = radius(pt)
-    _check_origin(p, r)
     w = drift_root(p, pt)
     e = p.ecc
-    unit = pt / r[..., None]
+    unit = pt / radius(pt)[..., None]
     fixed = np.array([1j, -np.sqrt(1 - e * e), 0.0])
     out = (1j * p.mu / (2 * p.lam)) * (1 + w)[..., None] * unit \
         + (p.mu / (2 * p.lam * e)) * (1 - w)[..., None] * fixed
@@ -154,13 +156,11 @@ def wave_gradients(p: PhysParams, pt):
     through Z = eps^2 (grad_S - i grad_R).
     """
     pt = as_points(pt)
-    r = radius(pt)
-    _check_origin(p, r)
     alpha, beta = alpha_beta(p, pt)
     e = p.ecc
     sq = np.sqrt(1 - e * e)
     pre = -p.mu / (2 * e * p.lam * p.eps ** 2)
-    unit = pt / r[..., None]
+    unit = pt / radius(pt)[..., None]
     grad_r = pre * ((1 + alpha)[..., None] * e * unit
                     + np.stack([1 - alpha, beta * sq,
                                 np.zeros_like(alpha)], axis=-1))
@@ -218,39 +218,23 @@ def drift_components(p: PhysParams, X):
     return B
 
 
-@dataclass
-class FieldSample:
-    """All local field quantities at one point."""
-
-    nu: complex
-    alpha: float
-    beta: float
-    z_vec: np.ndarray   # complex (3,)
-    grad_r: np.ndarray  # (3,)
-    grad_s: np.ndarray  # (3,)
-    drift: np.ndarray   # (3,)
-
-    @classmethod
-    def at(cls, p: PhysParams, pt) -> "FieldSample":
-        pt = as_points(pt)
-        alpha, beta = alpha_beta(p, pt)
-        grad_r, grad_s = wave_gradients(p, pt)
-        return cls(nu=complex(nodal_coordinate(p, pt)),
-                   alpha=float(alpha), beta=float(beta),
-                   z_vec=complex_velocity(p, pt),
-                   grad_r=grad_r, grad_s=grad_s,
-                   drift=drift(p, pt))
-
-    def as_dict(self) -> dict:
-        return {
-            "nu": [self.nu.real, self.nu.imag],
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "z": [[zc.real, zc.imag] for zc in np.atleast_1d(self.z_vec)],
-            "grad_r": list(map(float, self.grad_r)),
-            "grad_s": list(map(float, self.grad_s)),
-            "drift": list(map(float, self.drift)),
-        }
+def field_report(p: PhysParams, pt) -> dict:
+    """Every local field quantity at one (3,) point, as JSON-ready lists:
+    nu, alpha, beta, the complex velocity z (as [re, im] per component),
+    grad_r, grad_s and the drift."""
+    pt = as_points(pt)
+    nu = complex(nodal_coordinate(p, pt))
+    alpha, beta = alpha_beta(p, pt)
+    grad_r, grad_s = wave_gradients(p, pt)
+    return {
+        "nu": [nu.real, nu.imag],
+        "alpha": float(alpha),
+        "beta": float(beta),
+        "z": [[zc.real, zc.imag] for zc in complex_velocity(p, pt)],
+        "grad_r": list(map(float, grad_r)),
+        "grad_s": list(map(float, grad_s)),
+        "drift": list(map(float, drift(p, pt))),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -318,32 +302,16 @@ def jump_distance_many(p: PhysParams, pts):
 # cylindrical Keplerian elliptic coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EllipticCoords:
-    """Cylindrical Keplerian elliptic coordinates (u, v, z).
+def from_elliptic(p: PhysParams, coords):
+    """Map a (u, v, z) triple of scalars or arrays to Cartesian points.
 
     u in (-e, 1] labels a family of nested ellipses with one focus at the
     origin (u = ecc is the attracting ellipse, u = 1 the jump segment,
     u -> -e the ellipse at infinity); v in [0, 2 pi) is the eccentric
     angle on the attracting ellipse; z passes through.
-    """
-
-    u: float
-    v: float
-    z: float = 0.0
-
-
-def from_elliptic(p: PhysParams, coords):
-    """Map (u, v, z) to Cartesian coordinates.
-
     x = 2 a e (cos v - u)/(e + u),  y = 2 a e sqrt(1-u^2) sin v/(e + u).
-    Accepts an :class:`EllipticCoords` or a (u, v, z) triple of scalars or
-    arrays.
     """
-    if isinstance(coords, EllipticCoords):
-        u, v, z = coords.u, coords.v, coords.z
-    else:
-        u, v, z = coords
+    u, v, z = coords
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -381,7 +349,7 @@ def elliptic_uv(p: PhysParams, x, y):
 
 
 def to_elliptic(p: PhysParams, pt):
-    """Invert the coordinate map at a Cartesian point.
+    """(u, v, z) at Cartesian points, each of the points' leading shape.
 
     Rejects the planar origin, where v is undefined, then evaluates
     :func:`elliptic_uv`.  Round-trips with :func:`from_elliptic` to
@@ -393,8 +361,6 @@ def to_elliptic(p: PhysParams, pt):
     if np.any(np.hypot(x, y) <= 0):
         raise SingularPointError("coordinate inversion at the planar origin")
     u, v = elliptic_uv(p, x, y)
-    if pt.ndim == 1:
-        return EllipticCoords(float(u), float(v), float(z))
     return u, v, np.asarray(z, dtype=float)
 
 

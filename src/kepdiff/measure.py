@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipe
 
-from .fields import as_points, to_elliptic
+from .fields import to_elliptic
 from .params import ConfigError, InsufficientSamplesError, PhysParams
 from .quadrature import adaptive_quad
 from .specfun import log_amplitude
@@ -132,11 +132,7 @@ def log_invariant_density(p: PhysParams, pt):
     tangential factor is extended off the ellipse as a function of the
     cylindrical eccentric-angle coordinate alone (constant in u and z).
     """
-    pt = as_points(pt)
-    if pt.ndim == 1:
-        v = to_elliptic(p, pt).v
-    else:
-        _, v, _ = to_elliptic(p, pt)
+    _, v, _ = to_elliptic(p, pt)
     return 2.0 * log_amplitude(p, pt) + np.log(tangential_factor(p.ecc, v))
 
 

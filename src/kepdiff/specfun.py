@@ -9,14 +9,12 @@ function in logarithmic form.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import as_points, nodal_coordinate, radius
-from .params import (BranchPointWarning, ConfigError, NodeError, PhysParams,
-                     SingularPointError)
+from .fields import as_points, drift_root, nodal_coordinate, radius
+from .params import ConfigError, NodeError, PhysParams
 
 #: Rescale the recurrence pair by 2**-512 whenever it exceeds this.
 _SCALE_LIMIT = 2.0 ** 512
@@ -117,9 +115,6 @@ def complex_velocity_finite(p: PhysParams, n: int, pt):
     if n < 1:
         raise ConfigError("degree must be >= 1")
     pt = as_points(pt)
-    r = radius(pt)
-    if np.any(r <= 0):
-        raise SingularPointError("finite-degree velocity at the origin")
     nu = nodal_coordinate(p, pt)
     if pt.ndim == 1:
         rho = np.asarray(laguerre_ratio(n - 1, n * complex(nu)))
@@ -127,7 +122,7 @@ def complex_velocity_finite(p: PhysParams, n: int, pt):
         rho = np.array([laguerre_ratio(n - 1, n * nv)
                         for nv in np.ravel(nu)]).reshape(nu.shape)
     e = p.ecc
-    unit = pt / r[..., None]
+    unit = pt / radius(pt)[..., None]
     fixed = np.array([1j, -np.sqrt(1 - e * e), 0.0])
     return (1j * p.mu / p.lam) * (1 - rho)[..., None] * unit \
         + (p.mu / (p.lam * e)) * rho[..., None] * fixed
@@ -138,27 +133,19 @@ def log_wave(p: PhysParams, pt):
 
     log psi = (lam/eps^2) log nu + (2 lam/eps^2) log(1 + w)
               - mu |x| / (lam eps^2) + (lam nu / 2 eps^2)(1 - w),
-    w = sqrt(1 - 4/nu).  The real part is the log-amplitude R; on the
+    w = sqrt(1 - 4/nu) from :func:`~kepdiff.fields.drift_root`, with its
+    singular-point checks.  The real part is the log-amplitude R; on the
     attracting ellipse it equals (lam/2 eps^2) ln(16/e^2) with no extra
     constant.  The imaginary part (the phase S) jumps across the branch
     cuts in the y = 0 plane; only its gradient is contract-bearing.
     """
     pt = as_points(pt)
-    r = radius(pt)
-    if np.any(r <= 0):
-        raise SingularPointError("wave function at the origin")
+    w = drift_root(p, pt)
     nu = nodal_coordinate(p, pt)
-    if np.any(nu == 0):
-        raise SingularPointError("nodal coordinate vanished")
-    arg = 1 - 4 / nu
-    if np.any(np.abs(arg) < 1e-12):
-        warnings.warn("wave function near the drift-root branch point",
-                      BranchPointWarning, stacklevel=2)
-    w = np.sqrt(arg)
     ie2 = 1.0 / p.eps ** 2
     return (p.lam * ie2) * np.log(nu) \
         + (2 * p.lam * ie2) * np.log(1 + w) \
-        - (p.mu * ie2 / p.lam) * r \
+        - (p.mu * ie2 / p.lam) * radius(pt) \
         + (p.lam * ie2 / 2) * nu * (1 - w)
 
 

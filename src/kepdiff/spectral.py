@@ -298,10 +298,7 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
     mesh = grid.mesh()
     R2 = sum(m * m for m in mesh)
     active = R2 > grid.excluded ** 2
-    shape = active.shape
     N = int(active.sum())
-    index = -np.ones(shape, dtype=np.int64)
-    index[active] = np.arange(N)
     nodes = np.stack([m[active] for m in mesh], axis=1)
 
     if drift_fn == "model":
@@ -312,37 +309,31 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
         b = np.asarray(drift_fn(nodes), dtype=float).reshape(N, grid.dim)
 
     D = p.eps ** 2 / (2 * h * h)
-    Ia, = np.where(active.ravel())
-    multi = np.unravel_index(Ia, shape)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(N)
-    interior = np.ones(N, dtype=bool)
+    flat, = np.nonzero(active.ravel())
+    # node number of each flat grid index; the extra last entry (-1)
+    # stands for "outside the box" and for the excluded ball
+    index = np.full(active.size + 1, -1, dtype=np.int64)
+    index[flat] = np.arange(N)
+    nbr = np.empty((2 * grid.dim, N), dtype=np.int64)
+    rates = np.empty((2 * grid.dim, N))
     for axis in range(grid.dim):
-        for sgn in (+1, -1):
-            nb_multi = list(multi)
-            nb_multi[axis] = multi[axis] + sgn
-            ok = (nb_multi[axis] >= 0) & (nb_multi[axis] < shape[axis])
-            nb_flat = np.where(ok, np.ravel_multi_index(
-                [np.clip(m, 0, s - 1) for m, s in zip(nb_multi, shape)],
-                shape), 0)
-            nb_idx = np.where(ok, index.ravel()[nb_flat], -1)
-            has = nb_idx >= 0
+        stride = grid.n ** (grid.dim - 1 - axis)
+        pos = flat // stride % grid.n
+        for k, sgn in enumerate((+1, -1), start=2 * axis):
+            inside = (pos + sgn >= 0) & (pos + sgn < grid.n)
+            nbr[k] = index[np.where(inside, flat + sgn * stride, -1)]
             # upwind: the jump rate toward +axis carries max(b, 0)/h
-            rate = D + np.maximum(sgn * b[:, axis], 0.0) / h
-            if not (rate >= 0).all():
-                raise ResolutionError(
-                    "negative or NaN jump rate; the discrete generator "
-                    "would lose its Markov sign structure")
-            rows.append(np.arange(N)[has])
-            cols.append(nb_idx[has])
-            vals.append(rate[has])
-            diag -= np.where(has, rate, 0.0)  # reflecting: drop lost jumps
-            interior &= has
-    rows.append(np.arange(N))
-    cols.append(np.arange(N))
-    vals.append(diag)
-    Q = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
+            rates[k] = D + np.maximum(sgn * b[:, axis], 0.0) / h
+    if not (rates >= 0).all():
+        raise ResolutionError(
+            "negative or NaN jump rate; the discrete generator "
+            "would lose its Markov sign structure")
+    has = nbr >= 0
+    rates[~has] = 0.0  # reflecting: drop lost jumps
+    interior = has.all(axis=0)
+    Q = sp.csr_matrix((np.concatenate([rates[has], -rates.sum(axis=0)]),
+                       (np.concatenate([np.nonzero(has)[1], np.arange(N)]),
+                        np.concatenate([nbr[has], np.arange(N)]))),
                       shape=(N, N))
 
     if weight_fn == "model":
@@ -769,8 +760,7 @@ class RadialScan:
         return self.radii, self.max_gu, np.full(len(self.radii), self.bound)
 
 
-def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig,
-                        radii) -> RadialScan:
+def osmotic_radial_scan(cfg: SpectralConfig, radii) -> RadialScan:
     """Scan G_u |x| = (eps^2/2|x|)(2 + 2 grad R . x + grad ln T . x).
 
     Evaluates the osmotic generator applied to the radius on a 48 x 48
@@ -779,8 +769,9 @@ def osmotic_radial_scan(p: PhysParams, cfg: SpectralConfig,
     (eps^2/r)(1 + grad R . x), whose large-radius limit is -mu/lam; the
     smallest scanned radius past which the maximum stays below
     -eps^2 C_tilde/2; and the largest |grad ln T| met on spheres of
-    radius >= SUP_GRAD_R0 a.
+    radius >= SUP_GRAD_R0 a.  The scan and its bound both use cfg.params.
     """
+    p = cfg.params
     radii = np.sort(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
         raise ConfigError("radii must be positive")

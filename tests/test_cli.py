@@ -292,6 +292,27 @@ def test_malformed_input_exit_code(capsys, tmp_path, monkeypatch, argv):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "--marginal"),
+    ("spectral", "--gap"),
+    ("simulate", "--figure1"),
+    ("simulate", "--n-steps", "10", "--n-paths", "2"),
+    ("simulate", "--deterministic", "--n-periods", "0"),
+    ("spectral", "--scan", "--radii", "1,x"),
+    ("spectral", "--scan", "--C", "-1"),
+    ("spectral", "--gap", "--no-autocorr", "--n", "0"),
+    ("measure", "--widths", "--marginal", "--seed", "1", "--samples", "abc"),
+    ("measure", "--widths", "--marginal", "--seed", "1", "--samples", "100"),
+])
+def test_refused_command_leaves_no_out_dir(capsys, tmp_path, argv):
+    # every input is checked before the output directory is made
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out-dir", str(out))
+    assert code == 2
+    assert "config error" in err
+    assert not out.exists()
+
+
 def test_removed_dim_flag_rejected(capsys):
     # model gaps are planar only: argparse refuses --dim as unknown
     with pytest.raises(SystemExit) as exc:

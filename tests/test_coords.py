@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kepdiff import (EllipticCoords, PhysParams, SingularPointError,
-                     ellipse_point, from_elliptic, to_elliptic)
+from kepdiff import (PhysParams, SingularPointError, ellipse_point,
+                     from_elliptic, to_elliptic)
 from kepdiff.fields import elliptic_uv
 
 
@@ -58,10 +58,10 @@ def test_forward_map_quarter_turn(p):
 def test_ellipse_is_u_equals_e_curve(p):
     vs = np.linspace(0, 2 * np.pi, 12, endpoint=False)
     for v in vs:
-        c = to_elliptic(p, ellipse_point(p, v))
-        assert c.u == pytest.approx(p.ecc, abs=1e-11)
-        assert c.v == pytest.approx(v, abs=1e-10) or \
-            c.v == pytest.approx(v + 2 * np.pi, abs=1e-10)
+        u, v_back, _ = to_elliptic(p, ellipse_point(p, v))
+        assert u == pytest.approx(p.ecc, abs=1e-11)
+        assert v_back == pytest.approx(v, abs=1e-10) or \
+            v_back == pytest.approx(v + 2 * np.pi, abs=1e-10)
 
 
 def test_round_trip_bulk(p):
@@ -140,10 +140,14 @@ def test_inverse_at_planar_origin_raises(p):
         to_elliptic(p, [0.0, 0.0, 1.0])
 
 
-def test_returns_dataclass_for_single_point(p):
-    c = to_elliptic(p, [0.5, 0.0, 0.0])
-    assert isinstance(c, EllipticCoords)
-    assert -p.ecc < c.u <= 1.0
+def test_returns_triple_for_single_point(p):
+    # a single point gives the batch of that one point, as 0-d values
+    pt = [0.5, 0.3, -0.2]
+    single = to_elliptic(p, pt)
+    batch = to_elliptic(p, [pt])
+    assert all(np.ndim(c) == 0 for c in single)
+    assert [float(c) for c in single] == [float(c[0]) for c in batch]
+    assert -p.ecc < single[0] <= 1.0
 
 
 def test_second_focus_formula(p):

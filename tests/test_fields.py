@@ -11,7 +11,7 @@ from kepdiff import (BranchPointWarning, PhysParams, SingularPointError,
                      ellipse_point, ellipse_tangent, jump_distance_many,
                      jump_interval, in_jump_set, kepler_speed,
                      nodal_coordinate, wave_gradients)
-from kepdiff.fields import (JUMP_MESH, FieldSample, drift_components,
+from kepdiff.fields import (JUMP_MESH, drift_components, field_report,
                             near_jump_set)
 from kepdiff.sde import default_drift_cap
 
@@ -360,9 +360,8 @@ def test_restriction_to_plane_matches_planar_formula(p):
 
 
 def test_field_sample_bundle(p):
-    s = FieldSample.at(p, [0.5, 0.0, 0.0])
-    assert s.alpha == pytest.approx(3.0)
-    d = s.as_dict()
+    d = field_report(p, [0.5, 0.0, 0.0])
+    assert d["alpha"] == pytest.approx(3.0)
     assert set(d) == {"nu", "alpha", "beta", "z", "grad_r", "grad_s", "drift"}
     assert d["drift"][1] == pytest.approx(SQ3)
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kepdiff import (ConfigError, NodeError, PhysParams,
-                     complex_velocity, complex_velocity_finite,
-                     hermite, hermite_ratio, laguerre, laguerre_ratio,
-                     log_amplitude, log_wave, wave_gradients)
+from kepdiff import (BranchPointWarning, ConfigError, NodeError, PhysParams,
+                     SingularPointError, complex_velocity,
+                     complex_velocity_finite, hermite, hermite_ratio,
+                     jump_interval, laguerre, laguerre_ratio, log_amplitude,
+                     log_wave, wave_gradients)
 
 from conftest import random_points
 
@@ -201,3 +202,17 @@ def test_log_wave_gradients_match_closed_form(p):
             fd = (log_wave(p, pt + dp) - log_wave(p, pt - dp)) / (2 * h)
             assert fd.real == pytest.approx(gr[k], rel=1e-6, abs=1e-5)
             assert fd.imag == pytest.approx(gs[k], rel=1e-6, abs=1e-5)
+
+
+@pytest.mark.parametrize("f", [log_wave, log_amplitude])
+def test_log_wave_singular_points(p, f):
+    # the drift root's own policy and messages: errors at the origin and
+    # on the focal ray (nu = 0), a warning at the branch point nu = 4
+    focal = [p.ecc / math.sqrt(1 - p.ecc ** 2), 0.0, 1.0]
+    for pt, msg in (([0.0, 0.0, 0.0], "field evaluation at the origin"),
+                    (focal, r"nodal coordinate vanished \(focal ray\)")):
+        with pytest.raises(SingularPointError, match=msg):
+            f(p, pt)
+    left, _ = jump_interval(p, 0.0)
+    with pytest.warns(BranchPointWarning, match="branch point of the drift"):
+        f(p, [left, 0.0, 0.0])

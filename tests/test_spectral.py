@@ -487,7 +487,7 @@ def test_radial_scan_far_field(p):
     cfg = SpectralConfig.from_measurement(p)
     assert cfg.C > sup_log_tangential_gradient(p)
     radii = np.geomspace(0.1, 100.0, 20) * p.a
-    scan = osmotic_radial_scan(p, cfg, radii)
+    scan = osmotic_radial_scan(cfg, radii)
     assert math.isfinite(scan.r1_hat)
     assert scan.eps_part_max[-1] == pytest.approx(-p.mu / p.lam, rel=0.05)
     assert scan.max_gu[-1] <= scan.bound
@@ -501,7 +501,7 @@ def test_radial_scan_without_tangential_term(p):
     # far-field asymptote, and the term is an O(eps^2 C) dent past 2a
     cfg = SpectralConfig.from_measurement(p)
     radii = np.geomspace(1.0, 100.0, 10) * p.a
-    scan = osmotic_radial_scan(p, cfg, radii)
+    scan = osmotic_radial_scan(cfg, radii)
     assert abs(scan.eps_part_max[-1] - scan.max_gu[-1]) \
         <= 0.5 * p.eps ** 2 * cfg.C + 1e-12
     assert scan.eps_part_max[-1] == pytest.approx(-p.mu / p.lam, rel=0.1)
@@ -509,7 +509,7 @@ def test_radial_scan_without_tangential_term(p):
 
 def test_scan_rows_format(p):
     cfg = SpectralConfig(params=p, C=2.0)
-    scan = osmotic_radial_scan(p, cfg, [1.0, 10.0])
+    scan = osmotic_radial_scan(cfg, [1.0, 10.0])
     # the scan CSV's rows are (r, max_Gu, bound), written as columns
     r, gu, bound = scan.columns()
     assert r.tolist() == [1.0, 10.0] and gu is scan.max_gu
