@@ -8,9 +8,8 @@ calibration knobs.
 Criterion 5 (the qualitative trajectory-convergence reproduction) is
 implemented exactly as specified; measured stationary widths put its
 expected pass fraction near 0.92, below the demanded 0.95, so it is
-expected to run red.  See the ledger note shipped with the repository
-history for the width analysis; the thresholds are kept as stated
-rather than loosened.
+expected to run red.  README's "Acceptance status" section gives the
+width analysis; the thresholds are kept as stated rather than loosened.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ All evaluators are vectorised: points are arrays of shape (..., 3) and
 results broadcast over the leading axes.  Scalar convenience falls out of
 passing a single (3,) point.
 
-The wave-field evaluators share one set of singular-point checks:
-:func:`nodal_coordinate` (and :func:`alpha_beta`) rejects the origin,
-:func:`drift_root` the focal ray nu = 0, and it warns at nu = 4.  Their
-callers here and in :mod:`kepdiff.specfun` reach them before any 1/|x|.
+|x| and the nodal coordinate nu have one implementation, the unchecked
+kernel :func:`_nodal`.  :func:`nodal_coordinate` and :func:`drift_root`
+reject the origin on top of it; :func:`drift_root` also rejects the
+focal ray nu = 0, warns at nu = 4 and hands nu and |x| back with the
+root, so its callers compute neither again and divide by no zero |x|.
 
 Conventions fixed here (and exercised by the test suite):
 
@@ -62,6 +63,15 @@ def _check_origin(p: PhysParams, r):
         raise SingularPointError("field evaluation at the origin")
 
 
+def _nodal(p: PhysParams, X):
+    """(|x|, nu) at stacked coordinates X, shape (3, ...); unchecked."""
+    e = p.ecc
+    XX = X * X
+    r = np.sqrt(XX[0] + XX[1] + XX[2])
+    return r, (p.mu / p.lam ** 2) * (
+        r - X[0] / e - 1j * X[1] * math.sqrt(1 - e * e) / e)
+
+
 def nodal_coordinate(p: PhysParams, pt):
     """Complex coordinate locating a point relative to the nodal set.
 
@@ -69,28 +79,27 @@ def nodal_coordinate(p: PhysParams, pt):
     set corresponds to real values in (0, 4); the attracting ellipse is
     the curve traced by 2 - cos(v)(1+e^2)/e - i sin(v)(1-e^2)/e.
     """
-    pt = as_points(pt)
-    r = radius(pt)
+    r, nu = _nodal(p, np.moveaxis(as_points(pt), -1, 0))
     _check_origin(p, r)
-    e = p.ecc
-    return (p.mu / p.lam ** 2) * (
-        r - pt[..., 0] / e - 1j * pt[..., 1] * np.sqrt(1 - e * e) / e)
+    return nu
 
 
 def drift_root(p: PhysParams, pt):
     """Principal square root w = sqrt(1 - 4/nu) of the nodal coordinate.
 
-    alpha = Re w >= 0 and beta = Im w are the two scalars that assemble
-    the drift.  Warns when |1 - 4/nu| is within 1e-12 of the branch point.
+    Returns (w, nu, |x|).  alpha = Re w >= 0 and beta = Im w are the two
+    scalars that assemble the drift.  Rejects the origin and the focal
+    ray nu = 0; warns when |1 - 4/nu| is within 1e-12 of the branch point.
     """
-    nu = nodal_coordinate(p, pt)
+    r, nu = _nodal(p, np.moveaxis(as_points(pt), -1, 0))
+    _check_origin(p, r)
     if np.any(nu == 0):
         raise SingularPointError("nodal coordinate vanished (focal ray)")
     arg = 1 - 4 / nu
     if np.any(np.abs(arg) < 1e-12):
         warnings.warn("evaluation at the branch point of the drift root",
                       BranchPointWarning, stacklevel=2)
-    return np.sqrt(arg)
+    return np.sqrt(arg), nu, r
 
 
 def alpha_beta(p: PhysParams, pt):
@@ -138,9 +147,9 @@ def complex_velocity(p: PhysParams, pt):
     Z.Z/2 - mu/|x| = -mu^2/(2 lam^2) everywhere it is defined.
     """
     pt = as_points(pt)
-    w = drift_root(p, pt)
+    w, _, r = drift_root(p, pt)
     e = p.ecc
-    unit = pt / radius(pt)[..., None]
+    unit = pt / r[..., None]
     fixed = np.array([1j, -np.sqrt(1 - e * e), 0.0])
     out = (1j * p.mu / (2 * p.lam)) * (1 + w)[..., None] * unit \
         + (p.mu / (2 * p.lam * e)) * (1 - w)[..., None] * fixed
@@ -201,9 +210,7 @@ def drift_components(p: PhysParams, X):
     """
     e = p.ecc
     sq = math.sqrt(1 - e * e)
-    XX = X * X
-    r = np.sqrt(XX[0] + XX[1] + XX[2])
-    nu = (p.mu / p.lam ** 2) * (r - X[0] / e - 1j * X[1] * sq / e)
+    r, nu = _nodal(p, X)
     w = np.sqrt(1 - 4 / nu)
     alpha, beta = w.real, w.imag
     ab = alpha + beta

@@ -133,19 +133,18 @@ def log_wave(p: PhysParams, pt):
 
     log psi = (lam/eps^2) log nu + (2 lam/eps^2) log(1 + w)
               - mu |x| / (lam eps^2) + (lam nu / 2 eps^2)(1 - w),
-    w = sqrt(1 - 4/nu) from :func:`~kepdiff.fields.drift_root`, with its
-    singular-point checks.  The real part is the log-amplitude R; on the
-    attracting ellipse it equals (lam/2 eps^2) ln(16/e^2) with no extra
-    constant.  The imaginary part (the phase S) jumps across the branch
-    cuts in the y = 0 plane; only its gradient is contract-bearing.
+    with w = sqrt(1 - 4/nu), nu and |x| all from one
+    :func:`~kepdiff.fields.drift_root` call and its singular-point checks.
+    The real part is the log-amplitude R; on the attracting ellipse it
+    equals (lam/2 eps^2) ln(16/e^2) with no extra constant.  The
+    imaginary part (the phase S) jumps across the branch cuts in the
+    y = 0 plane; only its gradient is contract-bearing.
     """
-    pt = as_points(pt)
-    w = drift_root(p, pt)
-    nu = nodal_coordinate(p, pt)
+    w, nu, r = drift_root(p, pt)
     ie2 = 1.0 / p.eps ** 2
     return (p.lam * ie2) * np.log(nu) \
         + (2 * p.lam * ie2) * np.log(1 + w) \
-        - (p.mu * ie2 / p.lam) * radius(pt) \
+        - (p.mu * ie2 / p.lam) * r \
         + (p.lam * ie2 / 2) * nu * (1 - w)
 
 

@@ -173,14 +173,14 @@ class GridSpec:
 def production_grid_2d(p: PhysParams, n=None) -> GridSpec:
     """Grid for the z = 0 restriction sized to the stationary support.
 
-    This is the grid of every model gap (``spectral --gap``, criterion
-    7, the gap-curve script).  The ridge lives on the ellipse
-    (x in [-a(1+e), a(1-e)], |y| up to a sqrt(1-e^2)) with O(eps)
-    cross-sections; a box clearing it by many widths keeps the matrix
-    small at volcano-resolving spacing.  n defaults to spacing w/8, with
-    w the narrowest ridge width: twice as fine as the h < w/4
-    resolution check needs (at ecc 0.5, eps 0.1 the default n is 370,
-    and the check needs n >= 185).
+    This is the grid of every model gap: ``kepdiff spectral --gap``
+    (each point of README's gap curve is one such run) and criterion 7.
+    The ridge lives on the ellipse (x in [-a(1+e), a(1-e)], |y| up to
+    a sqrt(1-e^2)) with O(eps) cross-sections; a box clearing it by
+    many widths keeps the matrix small at volcano-resolving spacing.  n
+    defaults to spacing w/8, with w the narrowest ridge width: twice as
+    fine as the h < w/4 resolution check needs (at ecc 0.5, eps 0.1 the
+    default n is 370, and the check needs n >= 185).
     """
     a = p.a
     box = ((-2.6 * a, 1.4 * a), (-2.0 * a, 2.0 * a))
@@ -199,11 +199,14 @@ def min_effective_width(p: PhysParams) -> float:
 
 @dataclass
 class GeneratorMatrix:
-    """Sparse discrete generator plus its stationary weight vector.
+    """Sparse discrete generator plus a normalised weight on its nodes.
 
-    matrix rows follow the active-node ordering in ``nodes``; ``weight``
-    is the discretised stationary density (normalised) evaluated from
-    the closed-form log-density.
+    matrix rows follow the active-node ordering in ``nodes``.  For the
+    model, ``weight`` is the closed-form density ansatz at the z = 0
+    nodes, normalised: not the chain's stationary law (the pi of
+    :func:`stationary_vector`), and without the sigma_z cross-section
+    factor that integrating the density over z would bring.  It picks
+    the pinned row and weights the norm of the gap's eigen-residual.
     """
 
     matrix: sp.csr_matrix
@@ -629,7 +632,7 @@ def default_bump(p: PhysParams, width=None):
 
 @dataclass
 class DirichletCheck:
-    lhs: float     # -<f, G f> against the discrete stationary weight
+    lhs: float     # -<f, G f> against the normalised z = 0 density ansatz
     rhs: float     # (eps^2/2) <|grad f|^2>
     residual: float
 
@@ -637,8 +640,9 @@ class DirichletCheck:
 def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletCheck:
     """Residual of -int f G f dpi = (eps^2/2) int |grad f|^2 dpi.
 
-    Both sides are grid quadratures against the discretised stationary
-    density.  The generator acts here through second-order central
+    Both sides are grid quadratures against the normalised density
+    ansatz at the z = 0 nodes (a model generator's ``weight``), which
+    stands in for pi.  The generator acts here through second-order central
     stencils (the identity is a continuum statement; upwinding would
     pollute it at first order).  The residual decreases under grid
     refinement down to the floor set by the ansatz density being
@@ -872,31 +876,20 @@ def hamiltonian_residual(p: PhysParams, pt) -> HamiltonianResidual:
 
 
 def _lhs_rhs(p: PhysParams, pt, h):
-    lc = float(_log_psi_tilde(p, pt))
-    stencil = []
+    # the centre, then +h and -h along each axis, evaluated as one batch
+    k = np.arange(3)
+    S = np.tile(pt, (7, 1))
+    S[1 + 2 * k, k] += h
+    S[2 + 2 * k, k] -= h
+    lw = _log_psi_tilde(p, S)
+    lap_g = (np.sum(np.exp(lw[1:] - lw[0])) - 6.0) / (h * h)
+    b = drift(p, S)
+    gr, gs = wave_gradients(p, S)
+    div_b = lap_s = 0.0
     for axis in range(3):
-        for sgn in (+1, -1):
-            q = pt.copy()
-            q[axis] += sgn * h
-            stencil.append(q)
-    stencil = np.array(stencil)
-    g = np.exp(_log_psi_tilde(p, stencil) - lc)
-    lap_g = (np.sum(g) - 6.0) / (h * h)
-
-    b0 = drift(p, pt)
-    div_b = 0.0
-    for axis in range(3):
-        bp = drift(p, stencil[2 * axis])[axis]
-        bm = drift(p, stencil[2 * axis + 1])[axis]
-        div_b += (bp - bm) / (2 * h)
+        div_b += (b[1 + 2 * axis, axis] - b[2 + 2 * axis, axis]) / (2 * h)
+        lap_s += (gs[1 + 2 * axis, axis] - gs[2 + 2 * axis, axis]) / (2 * h)
     lhs = 0.5 * (-p.eps ** 4 * lap_g + p.eps ** 2 * div_b
-                 + float(np.dot(b0, b0)))
-
-    lap_s = 0.0
-    for axis in range(3):
-        gsp = wave_gradients(p, stencil[2 * axis])[1][axis]
-        gsm = wave_gradients(p, stencil[2 * axis + 1])[1][axis]
-        lap_s += (gsp - gsm) / (2 * h)
-    gr, gs = wave_gradients(p, pt)
-    rhs = p.eps ** 4 * (lap_s + 2.0 * float(np.dot(gr, gs)))
+                 + float(np.dot(b[0], b[0])))
+    rhs = p.eps ** 4 * (lap_s + 2.0 * float(np.dot(gr[0], gs[0])))
     return lhs, rhs

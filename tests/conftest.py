@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kepdiff import PhysParams, SimConfig, simulate_ensemble
+from kepdiff import PhysParams, SimConfig, jump_interval, simulate_ensemble
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +36,24 @@ def random_points(n, seed, lo=-4.0, hi=4.0, min_r=0.3, min_y=0.05):
         if np.linalg.norm(q) > min_r and abs(q[1]) > min_y:
             out.append(q)
     return np.array(out)
+
+
+def near_jump_set_points(p, n, seed, log_y_min):
+    """Points a distance 10^log_y_min..1e-2 off the jump set in y."""
+    rng = np.random.default_rng(seed)
+    z = rng.choice([0.0, 0.7], n)
+    left, right = jump_interval(p, z)
+    x = rng.uniform(left, right)
+    y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(log_y_min, -2.0, n)
+    return np.stack([x, y, z], axis=1)
+
+
+def assert_bitwise_equal(got, want):
+    """Equal dtype, shape and bytes: signed zeros and NaN payloads too."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def ellipse_average(p, f):

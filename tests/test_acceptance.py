@@ -6,9 +6,9 @@ as the acceptance report; ``kepdiff verify`` drives the same runners.
 Criterion 5 is implemented exactly as stated and is expected red: at
 (ecc, eps) = (0.5, 0.1) the stationary cross-section widths make the
 demanded |u - e| < 0.15, |z| < 0.2 tube hold ~92% of the mass, below
-the 0.95 threshold (analysis and measurement agree; see the decisions
-ledger).  The simulation itself is regression-guarded by
-test_sde.test_convergence_fraction_reference.
+the 0.95 threshold (analysis and measurement agree; see README's
+"Acceptance status" section).  The simulation itself is
+regression-guarded by test_sde.test_convergence_fraction_reference.
 """
 
 import pytest
@@ -43,7 +43,8 @@ def test_criterion_4_marginal_law():
     strict=True,
     reason="thresholds demand >= 0.95 but the stationary widths at "
            "(ecc, eps) = (0.5, 0.1) put ~92% of paths in the tube; "
-           "kept as stated rather than loosened (see decisions ledger)")
+           "kept as stated rather than loosened (see README, Acceptance "
+           "status)")
 def test_criterion_5_trajectory_convergence():
     assert _run("C5").passed
 

@@ -15,7 +15,8 @@ from kepdiff.fields import (JUMP_MESH, drift_components, field_report,
                             near_jump_set)
 from kepdiff.sde import default_drift_cap
 
-from conftest import random_points
+from conftest import (assert_bitwise_equal, near_jump_set_points,
+                      random_points)
 
 SQ3 = math.sqrt(3.0)
 
@@ -61,7 +62,7 @@ def test_alpha_beta_aphelion(p):
 def test_alpha_beta_matches_principal_root(p):
     pts = random_points(200, seed=5)
     al, be = alpha_beta(p, pts)
-    w = drift_root(p, pts)
+    w, _, _ = drift_root(p, pts)
     np.testing.assert_allclose(al, w.real, atol=1e-11)
     np.testing.assert_allclose(be, w.imag, atol=1e-11)
 
@@ -93,31 +94,21 @@ def test_alpha_vanishes_on_jump_set(p):
     xs = np.linspace(left + 0.05, right - 0.05, 7)
     pts = np.stack([xs, np.zeros(7), np.zeros(7)], axis=1)
     # principal root: exactly imaginary on the set
-    assert np.max(drift_root(p, pts).real) == 0.0
+    assert np.max(drift_root(p, pts)[0].real) == 0.0
     # radical route: cancellation dust only
     al, _ = alpha_beta(p, pts)
     assert np.all(al < 1e-5)
-
-
-def _near_jump_set_points(p, n, seed, log_y_min):
-    """Points a distance 10^log_y_min..1e-2 off the jump set in y."""
-    rng = np.random.default_rng(seed)
-    z = rng.choice([0.0, 0.7], n)
-    left, right = jump_interval(p, z)
-    x = rng.uniform(left, right)
-    y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(log_y_min, -2.0, n)
-    return np.stack([x, y, z], axis=1)
 
 
 @pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
 def test_alpha_beta_near_jump_set(ecc):
     # alpha^2 = t1 + t2 cancels here; the stable root keeps both parts
     pp = PhysParams(ecc=ecc)
-    pts = _near_jump_set_points(pp, 2000, seed=31, log_y_min=-12.0)
+    pts = near_jump_set_points(pp, 2000, seed=31, log_y_min=-12.0)
     al, be = alpha_beta(pp, pts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BranchPointWarning)
-        w = drift_root(pp, pts)
+        w, _, _ = drift_root(pp, pts)
     np.testing.assert_allclose(al + 1j * be, w, rtol=1e-10, atol=0)
 
 
@@ -237,10 +228,19 @@ def test_drift_equals_velocity_parts(p):
 @pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
 def test_drift_equals_velocity_parts_near_jump_set(ecc):
     pp = PhysParams(ecc=ecc)
-    pts = _near_jump_set_points(pp, 2000, seed=37, log_y_min=-8.0)
+    pts = near_jump_set_points(pp, 2000, seed=37, log_y_min=-8.0)
     z = complex_velocity(pp, pts)
     np.testing.assert_allclose(drift(pp, pts), z.real - z.imag, rtol=0,
                                atol=1e-12)
+
+
+def _nodal_unstacked(p, x, y, z):
+    """|x| and nu as the drift kernel computed them before it took
+    stacked coordinates."""
+    e = p.ecc
+    r = np.sqrt(x * x + y * y + z * z)
+    return r, (p.mu / p.lam ** 2) * (
+        r - x / e - 1j * y * np.sqrt(1 - e * e) / e)
 
 
 def _drift_components_unstacked(p, x, y, z):
@@ -248,8 +248,7 @@ def _drift_components_unstacked(p, x, y, z):
     three coordinate arguments in, three components out."""
     e = p.ecc
     sq = np.sqrt(1 - e * e)
-    r = np.sqrt(x * x + y * y + z * z)
-    nu = (p.mu / p.lam ** 2) * (r - x / e - 1j * y * sq / e)
+    r, nu = _nodal_unstacked(p, x, y, z)
     w = np.sqrt(1 - 4 / nu)
     alpha, beta = w.real, w.imag
     k = p.mu / (2 * p.lam)
@@ -269,8 +268,8 @@ def test_drift_components_matches_unstacked_kernel(ecc):
     singular = np.stack([ecc * z_ray / math.sqrt(1 - ecc ** 2),
                          np.zeros(3), z_ray], axis=1)
     pts = np.concatenate([random_points(500, seed=41),
-                          _near_jump_set_points(pp, 500, seed=43,
-                                                log_y_min=-16.0),
+                          near_jump_set_points(pp, 500, seed=43,
+                                               log_y_min=-16.0),
                           np.zeros((1, 3)), singular])
     with np.errstate(all="ignore"):
         got = drift_components(pp, pts.T)
@@ -285,6 +284,16 @@ def test_drift_components_matches_unstacked_kernel(ecc):
             want = _drift_components_unstacked(pp, pt[0], pt[1], 0.0)
         assert got.shape == (3,)
         np.testing.assert_array_equal(got, want)
+    # the checked evaluators hand back the same |x|, nu and root, bit for
+    # bit, wherever they are defined (all but the last four points)
+    ok = pts[:-4]
+    r, nu = _nodal_unstacked(pp, *ok.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchPointWarning)
+        root = drift_root(pp, ok)
+    assert_bitwise_equal(nodal_coordinate(pp, ok), nu)
+    for got, want in zip(root, (np.sqrt(1 - 4 / nu), nu, r)):
+        assert_bitwise_equal(got, want)
 
 
 def test_drift_focal_ray_raises(p):

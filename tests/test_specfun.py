@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from kepdiff import (BranchPointWarning, ConfigError, NodeError, PhysParams,
                      SingularPointError, complex_velocity,
-                     complex_velocity_finite, hermite, hermite_ratio,
-                     jump_interval, laguerre, laguerre_ratio, log_amplitude,
-                     log_wave, wave_gradients)
+                     complex_velocity_finite, drift_root, hermite,
+                     hermite_ratio, jump_interval, laguerre, laguerre_ratio,
+                     log_amplitude, log_wave, nodal_coordinate,
+                     wave_gradients)
+from kepdiff.fields import radius
 
-from conftest import random_points
+from conftest import (assert_bitwise_equal, near_jump_set_points,
+                      random_points)
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +220,39 @@ def test_log_wave_singular_points(p, f):
     left, _ = jump_interval(p, 0.0)
     with pytest.warns(BranchPointWarning, match="branch point of the drift"):
         f(p, [left, 0.0, 0.0])
+
+
+def _log_wave_formula(p, pt):
+    """log_wave written out from separate nu, |x| and root evaluations."""
+    w = drift_root(p, pt)[0]
+    nu = nodal_coordinate(p, pt)
+    ie2 = 1.0 / p.eps ** 2
+    return (p.lam * ie2) * np.log(nu) \
+        + (2 * p.lam * ie2) * np.log(1 + w) \
+        - (p.mu * ie2 / p.lam) * radius(pt) \
+        + (p.lam * ie2 / 2) * nu * (1 - w)
+
+
+def _complex_velocity_formula(p, pt):
+    """complex_velocity written out with its own |x| evaluation."""
+    w = drift_root(p, pt)[0]
+    e = p.ecc
+    unit = pt / radius(pt)[..., None]
+    fixed = np.array([1j, -np.sqrt(1 - e * e), 0.0])
+    return (1j * p.mu / (2 * p.lam)) * (1 + w)[..., None] * unit \
+        + (p.mu / (2 * p.lam * e)) * (1 - w)[..., None] * fixed
+
+
+@pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
+def test_wave_fields_reuse_root_nu_and_radius_bitwise(ecc):
+    # taking nu and |x| from drift_root changes no bit against evaluating
+    # them separately, on generic points and 1e-16..1e-2 off the jump set
+    pp = PhysParams(lam=1.3, mu=0.7, ecc=ecc, eps=0.2)
+    pts = np.concatenate([random_points(500, seed=47),
+                          near_jump_set_points(pp, 500, seed=53,
+                                               log_y_min=-16.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchPointWarning)
+        assert_bitwise_equal(log_wave(pp, pts), _log_wave_formula(pp, pts))
+        assert_bitwise_equal(complex_velocity(pp, pts),
+                             _complex_velocity_formula(pp, pts))

@@ -9,11 +9,14 @@ import scipy.sparse.linalg as spla
 from kepdiff import (ConfigError, ConvergenceError, GridSpec, PhysParams,
                      ResolutionError, SimConfig, SpectralConfig,
                      adjoint_residual, build_generator,
-                     dirichlet_form_residual, gap_from_autocorrelation,
-                     gap_from_matrix, hamiltonian_residual,
-                     osmotic_radial_scan, simulate_ensemble,
-                     stationary_vector, sup_log_tangential_gradient)
+                     dirichlet_form_residual, drift, ellipse_point,
+                     gap_from_autocorrelation, gap_from_matrix,
+                     hamiltonian_residual, log_wave, osmotic_radial_scan,
+                     simulate_ensemble, stationary_vector,
+                     sup_log_tangential_gradient, wave_gradients)
 from kepdiff.spectral import _fit_decay, default_bump, production_grid_2d
+
+from conftest import assert_bitwise_equal, random_points
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +546,33 @@ def test_hamiltonian_identity_structure_scales():
         assert res.rel < 2e-4
         vals.append(res.rhs / eps ** 2)
     assert np.std(vals) / abs(np.mean(vals)) < 1e-4
+
+
+def test_hamiltonian_stencil_batch_equals_single_points():
+    # the residual evaluates its 7-point stencil (the centre, then +-h
+    # along each axis) in one call per field; each row must come out as
+    # a call on that point alone gives it.  The point goes in as a
+    # one-row batch: a bare (3,) point runs numpy's scalar arithmetic,
+    # whose complex products may round differently from the array loops
+    p = PhysParams(ecc=0.5, eps=0.3)
+    centres = np.concatenate([
+        ellipse_point(p, np.array([0.4, 1.7, 3.4, 5.1])) + [0.05, 0.07, 0.04],
+        random_points(8, seed=59)])
+    k = np.arange(3)
+    for centre in centres:
+        for h in (0.05, 1e-3):
+            S = np.tile(centre, (7, 1))
+            S[1 + 2 * k, k] += h
+            S[2 + 2 * k, k] -= h
+            b, lw = drift(p, S), log_wave(p, S)
+            gr, gs = wave_gradients(p, S)
+            for i in range(7):
+                q = S[i:i + 1]
+                assert_bitwise_equal(b[i], drift(p, q)[0])
+                assert_bitwise_equal(lw[i], log_wave(p, q)[0])
+                gr_q, gs_q = wave_gradients(p, q)
+                assert_bitwise_equal(gr[i], gr_q[0])
+                assert_bitwise_equal(gs[i], gs_q[0])
 
 
 def test_hamiltonian_oscillator_control():
