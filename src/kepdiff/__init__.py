@@ -24,7 +24,7 @@ from .measure import (EmpiricalMarginal, GAUSS_WIDTH_FACTOR,
                       z_spread_by_angle)
 from .sde import (CONV_U_TOL, CONV_Z_TOL, RingStart, SimConfig,
                   TrajectoryEnsemble, areal_velocity, kepler_diagnostics,
-                  simulate_ensemble)
+                  simulate_ensemble, simulate_ensembles)
 from .spectral import (AutocorrGap, DirichletCheck, GapResult,
                        GeneratorMatrix, GridSpec, HamiltonianResidual,
                        RadialScan, SpectralConfig, adjoint_residual,

@@ -29,7 +29,6 @@ Conventions fixed here (and exercised by the test suite):
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -64,12 +63,16 @@ def _check_origin(p: PhysParams, r):
 
 
 def _nodal(p: PhysParams, X):
-    """(|x|, nu) at stacked coordinates X, shape (3, ...); unchecked."""
+    """(|x|, nu) at stacked coordinates X, shape (3, ...); unchecked.
+
+    p.ecc, p.axis_ratio and p.nodal_scale may be arrays that broadcast
+    against X[0] (the simulator's per-lane parameters); a lane's values
+    are then the same bit for bit as with that lane's PhysParams.
+    """
     e = p.ecc
     XX = X * X
     r = np.sqrt(XX[0] + XX[1] + XX[2])
-    return r, (p.mu / p.lam ** 2) * (
-        r - X[0] / e - 1j * X[1] * math.sqrt(1 - e * e) / e)
+    return r, p.nodal_scale * (r - X[0] / e - 1j * X[1] * p.axis_ratio / e)
 
 
 def nodal_coordinate(p: PhysParams, pt):
@@ -187,10 +190,12 @@ def drift(p: PhysParams, pt):
     equals Re Z - Im Z.  On the attracting ellipse the drift is tangent
     with the Kepler speed (mu/lam) sqrt((1+e cos v)/(1-e cos v)).
     """
-    pt = as_points(pt)
-    if np.any(nodal_coordinate(p, pt) == 0):
+    X = np.moveaxis(as_points(pt), -1, 0)
+    r, nu = _nodal(p, X)
+    _check_origin(p, r)
+    if np.any(nu == 0):
         raise SingularPointError("drift on the focal ray (e|x| = x, y = 0)")
-    return np.moveaxis(drift_components(p, np.moveaxis(pt, -1, 0)), 0, -1)
+    return np.moveaxis(_drift(p, X, r, nu), 0, -1)
 
 
 def drift_components(p: PhysParams, X):
@@ -206,15 +211,19 @@ def drift_components(p: PhysParams, X):
     of the drift: :func:`drift`, the simulator, the orbit integrator and
     the generator assembly all call it.  The origin and the focal ray
     give non-finite values instead of an error; use :func:`drift` where
-    the input is not known to be valid.
+    the input is not known to be valid.  As in :func:`_nodal`, p.ecc,
+    p.axis_ratio, p.nodal_scale and p.drift_scale may be arrays that
+    broadcast against X[0].
     """
-    e = p.ecc
-    sq = math.sqrt(1 - e * e)
-    r, nu = _nodal(p, X)
+    return _drift(p, X, *_nodal(p, X))
+
+
+def _drift(p: PhysParams, X, r, nu):
+    """:func:`drift_components` from |x| and nu already at hand."""
+    e, sq, k = p.ecc, p.axis_ratio, p.drift_scale
     w = np.sqrt(1 - 4 / nu)
     alpha, beta = w.real, w.imag
     ab = alpha + beta
-    k = p.mu / (2 * p.lam)
     s = (ab + 1) / r
     sxy = s * X[:2]
     B = np.empty(X.shape)
@@ -285,17 +294,22 @@ def near_jump_set(p: PhysParams, pts, tol):
     return (np.abs(y) <= tol) & in_jump_set(p, x, z, pad=pad)
 
 
-def jump_distance_many(p: PhysParams, pts):
+def jump_distance_many(p: PhysParams, pts, z_max=None):
     """Euclidean distance from points to (the closure of) the jump set.
 
     Zero inside the set.  The planar part is the distance to the nearest
     vertex of a JUMP_MESH-point polyline along each boundary curve,
     found with a k-d tree; its accuracy is set by the polyline
-    resolution, plenty for the recorded diagnostics.
+    resolution, plenty for the recorded diagnostics.  The polyline spans
+    |z| <= max(2 z_max, 8a), z_max being the points' largest |z| unless
+    given: pieces of one point set measure against one polyline when
+    each is passed the whole set's z_max.
     """
     pts = as_points(pts)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    zmax = max(2.0 * float(np.max(np.abs(z), initial=0.0)), 8 * p.a)
+    if z_max is None:
+        z_max = float(np.max(np.abs(z), initial=0.0))
+    zmax = max(2.0 * z_max, 8 * p.a)
     zs = np.linspace(-zmax, zmax, JUMP_MESH)
     left, right = jump_interval(p, zs)
     tree = cKDTree(np.column_stack([np.concatenate([left, right]),

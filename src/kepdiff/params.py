@@ -9,6 +9,7 @@ operation takes an explicit :class:`PhysParams`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -78,6 +79,21 @@ class PhysParams:
         return self.lam ** 2 / self.mu
 
     @property
+    def axis_ratio(self) -> float:
+        """Minor over major axis of the attracting ellipse, sqrt(1 - ecc**2)."""
+        return math.sqrt(1 - self.ecc * self.ecc)
+
+    @property
+    def nodal_scale(self) -> float:
+        """Factor mu / lam**2 of the nodal coordinate nu."""
+        return self.mu / self.lam ** 2
+
+    @property
+    def drift_scale(self) -> float:
+        """Factor mu / (2 lam) of the drift components."""
+        return self.mu / (2 * self.lam)
+
+    @property
     def energy(self) -> float:
         """Conserved energy level, -mu**2 / (2 lam**2)."""
         return -self.mu ** 2 / (2 * self.lam ** 2)
@@ -85,8 +101,6 @@ class PhysParams:
     @property
     def orbital_period(self) -> float:
         """Period of the deterministic orbit on the ellipse (third law)."""
-        import math
-
         return 2 * math.pi * self.lam ** 3 / self.mu ** 2
 
     def as_dict(self) -> dict:

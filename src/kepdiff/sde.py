@@ -14,34 +14,48 @@ autocorrelation, marginal and figure-1 runs) are built by the
 :class:`SimConfig` class methods of the same names, the one place each
 run recipe is written down.
 
-The ensemble step loop vectorises across paths and is bound by the
-number of numpy calls per step, not by arithmetic.  So a step does only
-what every lane needs: the drift, the cap and the update x + b dt +
-noise, written into the row of a preallocated chunk buffer that already
-holds the step's noise, scaled by eps sqrt(dt) once per chunk.  The
+The ensemble step loop vectorises across lanes and is bound by the
+number of numpy calls per step, not by arithmetic, so the one lever is
+more lanes per call.  The engine runs a lane table: every lane carries
+its own params, noise scale eps sqrt(dt), drift cap, origin radius,
+Philox key and start point, and only dt, the step count, the record
+stride and whether jump distances are measured are shared.  Several
+configurations (C7's four autocorrelation ensembles) thus run as one
+pass (:func:`simulate_ensembles`); :func:`simulate_ensemble` is the
+one-config case.  The table is cut by lane range into one shard per
+CPU when every shard keeps at least :data:`parallel.MIN_SHARD` lanes;
+the shards run in forked workers and are merged back per config.  One
+shard runs in this process, through the same code.
+
+A step does only what every lane needs: the drift, the cap and the
+update x + b dt + noise, written into the row of a preallocated chunk
+buffer that already holds the step's noise, scaled once per chunk.  The
 work that rarely finds anything is settled once per chunk of
 _NOISE_CHUNK steps, vectorised over the chunk: truncation (the same
 predicate, applied to every step's new state), the cap counts, the
 jump crossings and the records.  None of this changes the arithmetic,
 so the output is the same bit for bit as a plain step-by-step
-(n_paths, 3) implementation.
+(n_paths, 3) implementation of one config.
 
 Reproducibility: noise comes from one Philox4x64-10 bit generator per
 path, keyed by (seed, path_index).  A path's noise is its generator's
 standard-normal stream consumed in (step, component) row-major order,
-so ensembles are bit-identical for identical configurations and paths
-are independent streams regardless of how the runner batches them.
+and the field kernels give a lane the same bits with per-lane params
+as with its config's scalars.  So ensembles are bit-identical for
+identical configurations, independent of batching, lane table and
+shard count, and paths are independent streams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import (drift_components, elliptic_uv, in_jump_set,
                      jump_distance_many)
+from .parallel import imap, shard_count, shard_ranges
 from .params import ConfigError, ConvergenceError, PhysParams
 
 #: Convergence-tube half-widths used by the diagnostics (acceptance
@@ -213,74 +227,223 @@ class TrajectoryEnsemble:
         return self.u[ix], self.v[ix], self.pos[ix]
 
 
-def _path_generators(seed, n_paths):
-    return [np.random.Generator(np.random.Philox(key=[seed, i]))
-            for i in range(n_paths)]
+@dataclass(frozen=True)
+class _LaneTable:
+    """The lanes of one run of one or more configurations.
+
+    Per lane, a (lanes,) array of: the fields of its config's
+    PhysParams that the field kernels read (ecc, axis_ratio,
+    nodal_scale, drift_scale and a), so that the table stands in for a
+    PhysParams there, its constants made once and not on every step; its
+    noise scale eps sqrt(dt), drift cap and origin radius 1e-8 a; its
+    Philox key (seed, path), path being its index in its config; the
+    index of its config in cfgs; and, in x0, its start point (a
+    (lanes, 3) array).  A config's lanes are contiguous and in path
+    order.  dt, n_steps and stride are shared.
+    """
+
+    cfgs: tuple
+    ecc: np.ndarray
+    axis_ratio: np.ndarray
+    nodal_scale: np.ndarray
+    drift_scale: np.ndarray
+    a: np.ndarray
+    scale: np.ndarray
+    cap: np.ndarray
+    origin_r: np.ndarray
+    seed: np.ndarray
+    path: np.ndarray
+    config: np.ndarray
+    x0: np.ndarray
+    dt: float
+    n_steps: int
+    stride: int
+
+    @classmethod
+    def of(cls, cfgs):
+        cfgs = tuple(cfgs)
+        if not cfgs:
+            raise ConfigError("a lane table needs at least one configuration")
+        shared = {(c.dt, c.n_steps, c.record_stride, c.compute_jump_dist)
+                  for c in cfgs}
+        if len(shared) > 1:
+            raise ConfigError(
+                "configurations run as one lane table must share dt, "
+                "n_steps, record_stride and compute_jump_dist")
+        counts = [c.n_paths for c in cfgs]
+        sdt = math.sqrt(cfgs[0].dt)
+
+        def per_lane(values):
+            return np.repeat(values, counts)
+
+        ps = [c.params for c in cfgs]
+        return cls(
+            cfgs=cfgs,
+            ecc=per_lane([p.ecc for p in ps]),
+            axis_ratio=per_lane([p.axis_ratio for p in ps]),
+            nodal_scale=per_lane([p.nodal_scale for p in ps]),
+            drift_scale=per_lane([p.drift_scale for p in ps]),
+            a=per_lane([p.a for p in ps]),
+            scale=per_lane([p.eps * sdt for p in ps]),
+            cap=per_lane([c.drift_cap for c in cfgs]),
+            origin_r=per_lane([1e-8 * p.a for p in ps]),
+            seed=per_lane([c.seed for c in cfgs]),
+            path=np.concatenate([np.arange(n) for n in counts]),
+            config=per_lane(np.arange(len(cfgs))),
+            x0=np.concatenate([c.start_points() for c in cfgs]),
+            dt=cfgs[0].dt, n_steps=cfgs[0].n_steps,
+            stride=cfgs[0].record_stride)
+
+    def __getitem__(self, lanes):
+        """The table of the given lanes (a slice or an index array)."""
+        return replace(self, **{
+            f: getattr(self, f)[lanes] for f in _LANE_FIELDS})
+
+    @property
+    def n_lanes(self):
+        return self.config.size
+
+    def segments(self):
+        """(config index, lane slice) of each config in the table."""
+        cuts = (np.flatnonzero(np.diff(self.config)) + 1).tolist()
+        bounds = [0, *cuts, self.n_lanes]
+        return [(int(self.config[lo]), slice(lo, hi))
+                for lo, hi in zip(bounds, bounds[1:])]
+
+
+_LANE_FIELDS = ("ecc", "axis_ratio", "nodal_scale", "drift_scale", "a",
+                "scale", "cap", "origin_r", "seed", "path", "config", "x0")
 
 
 def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
     """Run the full ensemble; bit-identical output for identical cfg.
 
-    The steps run in chunks of _NOISE_CHUNK, on a (chunk + 1, 3,
-    n_paths) buffer whose row 0 is the state before the chunk and whose
-    row j + 1 first holds step j's noise, scaled by eps sqrt(dt), and
-    then the state after step j.  Each step does four things on every
-    lane: it takes the drift b from :func:`fields.drift_components`;
-    where |b| = sqrt((b_x^2 + b_y^2) + b_z^2) exceeds drift_cap it
-    rescales b by drift_cap / |b| and marks the step as capped; it forms
-    b dt + x; and it adds that to the noise in the next row.
+    The one-config case of :func:`simulate_ensembles`.
+    """
+    return simulate_ensembles([cfg])[0]
+
+
+def simulate_ensembles(cfgs) -> list:
+    """Run configurations as one lane table; one ensemble per config.
+
+    The configs must share dt, n_steps, record_stride and
+    compute_jump_dist (ConfigError otherwise); everything else, the
+    params, seed, start and drift cap included, is per lane.  Each
+    config's ensemble is the same bit for bit as its own run.
+
+    The table is cut into contiguous lane ranges
+    (:func:`parallel.shard_count`), each stepped by :func:`_run_steps`
+    and mapped to (u, v) in a forked worker of its own, or in this
+    process when there is one shard.  Jump distances are measured
+    against one polyline per config (:func:`fields.jump_distance_many`),
+    so they take the config's largest |z| from the merged records and
+    then run in a second set of workers, one per shard again.
+    """
+    table = _LaneTable.of(cfgs)
+    bounds = shard_ranges(table.n_lanes, shard_count(table.n_lanes))
+    shards = [table[lo:hi] for lo, hi in bounds]
+    n_rec = table.n_steps // table.stride + 1
+    rec_pos = np.empty((table.n_lanes, n_rec, 3))
+    u, v, dist = (np.empty((table.n_lanes, n_rec)) for _ in range(3))
+    truncate_step, cap_rejections, crossings = (
+        np.empty(table.n_lanes, dtype=np.int64) for _ in range(3))
+    merged = (rec_pos, u, v, truncate_step, cap_rejections, crossings)
+    # each shard's arrays are copied in, and freed, as they arrive
+    for (lo, hi), part in zip(bounds, imap(_run_shard, shards, len(shards)),
+                              strict=True):
+        for whole, piece in zip(merged, part):
+            whole[lo:hi] = piece
+    if table.cfgs[0].compute_jump_dist:
+        z_max = [float(np.max(np.abs(rec_pos[lanes, :, 2]), initial=0.0))
+                 for _, lanes in table.segments()]
+        jobs = [(shard, rec_pos[lo:hi], z_max)
+                for shard, (lo, hi) in zip(shards, bounds)]
+        for (lo, hi), piece in zip(bounds, imap(_jump_distances, jobs,
+                                                len(jobs)), strict=True):
+            dist[lo:hi] = piece
+    else:
+        dist[:] = np.nan
+
+    out = []
+    for c, lanes in table.segments():
+        cfg = table.cfgs[c]
+        X0 = table.x0[lanes]
+        with np.errstate(all="ignore"):  # finite starts whose squares overflow
+            u0, _ = elliptic_uv(cfg.params, X0[:, 0], X0[:, 1])
+        out.append(TrajectoryEnsemble(
+            config=cfg, times=cfg.record_times(), pos=rec_pos[lanes],
+            u=u[lanes], v=v[lanes], dist_sigma=dist[lanes],
+            truncated=truncate_step[lanes] >= 0,
+            truncate_step=truncate_step[lanes],
+            cap_rejections=cap_rejections[lanes],
+            jump_crossings=crossings[lanes], start_u=u0))
+    return out
+
+
+def _run_shard(table):
+    """Records, their (u, v), truncation steps, cap counts and crossing
+    counts of a table's lanes: the work of one shard."""
+    rec_pos, truncate_step, cap_rejections, crossings = _run_steps(table)
+    u, v = np.empty(rec_pos.shape[:2]), np.empty(rec_pos.shape[:2])
+    for c, lanes in table.segments():
+        flat = rec_pos[lanes].reshape(-1, 3)
+        with np.errstate(all="ignore"):
+            uu, vv = elliptic_uv(table.cfgs[c].params, flat[:, 0], flat[:, 1])
+        u[lanes] = uu.reshape(-1, rec_pos.shape[1])
+        v[lanes] = vv.reshape(-1, rec_pos.shape[1])
+    return rec_pos, u, v, truncate_step, cap_rejections, crossings
+
+
+def _jump_distances(job):
+    """Jump distances of a shard's records, job = (table, records,
+    largest |z| per config)."""
+    table, rec_pos, z_max = job
+    dist = np.empty(rec_pos.shape[:2])
+    for c, lanes in table.segments():
+        dist[lanes] = jump_distance_many(
+            table.cfgs[c].params, rec_pos[lanes].reshape(-1, 3),
+            z_max=z_max[c]).reshape(-1, rec_pos.shape[1])
+    return dist
+
+
+def _run_steps(table):
+    """The step loop and the chunk settle of a lane table.
+
+    The steps run in chunks of _NOISE_CHUNK, on a (chunk + 1, 3, lanes)
+    buffer whose row 0 is the state before the chunk and whose row
+    j + 1 first holds step j's noise, scaled by the lane's eps sqrt(dt),
+    and then the state after step j.  Each step does four things on
+    every lane: it takes the drift b from :func:`fields.drift_components`
+    with the lane's params; where |b| = sqrt((b_x^2 + b_y^2) + b_z^2)
+    exceeds the lane's drift cap it rescales b by cap / |b| and marks
+    the step as capped; it forms b dt + x; and it adds that to the noise
+    in the next row.
 
     Once per chunk, vectorised over its steps, the settle applies what
     the steps skipped.  A lane that is active at a step truncates at the
     first step whose new state has a non-finite coordinate or
-    sqrt((x^2 + y^2) + z^2) < 1e-8 a (finite coordinates whose squares
-    overflow do not truncate); from that step on its rows are reset to
-    its last valid state, and so are all rows of a lane truncated in an
-    earlier chunk.  Lanes are independent, so what a lane computes after
-    its truncation touches no other lane.  cap_rejections counts the
-    capped steps on which the lane was active, the truncation step
-    included.  A jump crossing is a sign change of y between consecutive
-    settled states whose midpoint (x, 0, z) lies in the jump set.  Every
-    record_stride-th settled state is recorded.
-    """
-    p = cfg.params
-    n_paths = cfg.n_paths
-    X0 = cfg.start_points()
-    with np.errstate(all="ignore"):  # finite starts whose squares overflow
-        u0, _ = elliptic_uv(p, X0[:, 0], X0[:, 1])
-    rec_t = cfg.record_times()
-    rec_pos, truncate_step, cap_rejections, crossings = \
-        _run_steps(cfg, X0, rec_t.size)
-
-    flat = rec_pos.reshape(-1, 3)
-    with np.errstate(all="ignore"):
-        u, v = elliptic_uv(p, flat[:, 0], flat[:, 1])
-    u = u.reshape(n_paths, rec_t.size)
-    v = v.reshape(n_paths, rec_t.size)
-    if cfg.compute_jump_dist:
-        dist = jump_distance_many(p, flat).reshape(n_paths, rec_t.size)
-    else:
-        dist = np.full((n_paths, rec_t.size), np.nan)
-
-    return TrajectoryEnsemble(
-        config=cfg, times=rec_t, pos=rec_pos, u=u, v=v, dist_sigma=dist,
-        truncated=truncate_step >= 0, truncate_step=truncate_step,
-        cap_rejections=cap_rejections, jump_crossings=crossings, start_u=u0)
-
-
-def _run_steps(cfg, X0, n_rec):
-    """The step loop and the chunk settle of :func:`simulate_ensemble`.
+    sqrt((x^2 + y^2) + z^2) below its origin radius 1e-8 a (finite
+    coordinates whose squares overflow do not truncate); from that step
+    on its rows are reset to its last valid state, and so are all rows
+    of a lane truncated in an earlier chunk.  Lanes are independent, so
+    what a lane computes after its truncation touches no other lane.
+    cap_rejections counts the capped steps on which the lane was active,
+    the truncation step included.  A jump crossing is a sign change of y
+    between consecutive settled states whose midpoint (x, 0, z) lies in
+    the lane's jump set.  Every stride-th settled state is recorded.
 
     Returns the records, truncation steps, cap counts and crossing
     counts; its buffers are freed on return.
     """
-    p = cfg.params
-    dt, cap, stride = cfg.dt, cfg.drift_cap, cfg.record_stride
-    n_paths, n_steps = cfg.n_paths, cfg.n_steps
-    origin_r = 1e-8 * p.a
+    dt, stride, n_steps = table.dt, table.stride, table.n_steps
+    cap, origin_r, scale = table.cap, table.origin_r, table.scale
+    X0 = table.x0
+    n_paths = table.n_lanes
+    n_rec = n_steps // stride + 1
     with np.errstate(all="ignore"):  # finite starts whose squares overflow
         active = np.sqrt(np.sum(X0 * X0, axis=1)) >= origin_r
-    gens = _path_generators(cfg.seed, n_paths)
+    gens = [np.random.Generator(np.random.Philox(key=[seed, i]))
+            for seed, i in zip(table.seed.tolist(), table.path.tolist())]
     truncate_step = np.where(active, -1, 0).astype(np.int64)
     cap_rejections = np.zeros(n_paths, dtype=np.int64)
     crossings = np.zeros(n_paths, dtype=np.int64)
@@ -304,7 +467,6 @@ def _run_steps(cfg, X0, n_rec):
     clear = np.empty((m, n_paths), dtype=bool)
     flag = np.empty((m, n_paths), dtype=bool)
 
-    scale = p.eps * math.sqrt(dt)
     k = 0
     with np.errstate(all="ignore"):
         while k < n_steps:
@@ -317,18 +479,18 @@ def _run_steps(cfg, X0, n_rec):
                 T = tile[:len(block), :chunk]
                 for t, g in zip(T, block):
                     g.standard_normal(out=t)
-                np.multiply(T.transpose(1, 2, 0), scale,
+                np.multiply(T.transpose(1, 2, 0), scale[b:b + len(block)],
                             out=S[1:, :, b:b + len(block)])
             for j in range(chunk):
                 X = rows[j]
-                B = drift_components(p, X)
+                B = drift_components(table, X)
                 np.multiply(B, B, out=squares)
                 np.add(bx2, by2, out=norm)
                 np.add(norm, bz2, out=norm)
                 np.sqrt(norm, out=norm)
                 hit = np.greater(norm, cap, out=cap_rows[j])
                 if np.count_nonzero(hit):
-                    B[:, hit] *= cap / norm[hit]
+                    B[:, hit] *= cap[hit] / norm[hit]
                 B *= dt
                 B += X
                 rows[j + 1] += B
@@ -356,7 +518,7 @@ def _run_steps(cfg, X0, n_rec):
             if np.count_nonzero(OK) < OK.size:
                 js, lanes = np.nonzero(~OK)
                 bad = ~np.all(np.isfinite(Y[js, :, lanes]), axis=1) \
-                    | (R[js, lanes] < origin_r)
+                    | (R[js, lanes] < origin_r[lanes])
                 # np.nonzero runs step-major, so a lane's first entry is
                 # its first bad step
                 lanes, first = np.unique(lanes[bad], return_index=True)
@@ -376,8 +538,9 @@ def _run_steps(cfg, X0, n_rec):
                 js, lanes = np.nonzero(F)
                 xm = 0.5 * (S[js, 0, lanes] + S[js + 1, 0, lanes])
                 zm = 0.5 * (S[js, 2, lanes] + S[js + 1, 2, lanes])
-                crossings += np.bincount(lanes[in_jump_set(p, xm, zm)],
-                                         minlength=n_paths)
+                crossings += np.bincount(
+                    lanes[in_jump_set(table[lanes], xm, zm)],
+                    minlength=n_paths)
 
             recs = S[stride - k % stride::stride]
             rec_pos[:, rec_i:rec_i + len(recs)] = recs.transpose(2, 0, 1)

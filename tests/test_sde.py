@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ellipse_average
+from conftest import assert_bitwise_equal, ellipse_average
 from kepdiff import (ConfigError, GAUSS_WIDTH_FACTOR, PhysParams, RingStart,
                      SimConfig, TrajectoryEnsemble, cross_section_widths,
                      drift, jump_distance_many, kepler_diagnostics, sde,
@@ -459,6 +459,109 @@ def test_truncation_freezes_path(p):
     ens = simulate_ensemble(cfg)
     assert np.all(ens.truncated)
     np.testing.assert_array_equal(ens.pos[:, -1], ens.pos[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# lane table and shards
+# ---------------------------------------------------------------------------
+
+#: A lam whose square by ** (libm pow) differs in the last bit from
+#: lam * lam, as numpy squares an array.
+LAM_POW_NOT_SQUARE = 1.8903560604397107
+
+
+def _lane_table_cfgs(n_steps=2 * sde._NOISE_CHUNK + 7, n_paths=(5, 3, 7, 4)):
+    """Four configs that differ in everything a lane carries: params,
+    seed, start (a ring or a fixed point), drift cap (3 caps every step
+    from the fixed point) and path count.  The last starts above
+    z = 4a, where its jump-distance polyline depends on its largest
+    |z|."""
+    params = (PhysParams(ecc=0.5, eps=0.1),
+              PhysParams(lam=LAM_POW_NOT_SQUARE, mu=0.7, ecc=0.3, eps=0.2),
+              PhysParams(ecc=0.5, eps=0.1),
+              PhysParams(ecc=0.9, eps=0.3))
+    x0s = (RingStart(3.0), None, [-0.3, 1e-3, 0.0], RingStart(2.0, z=4.5))
+    caps = (None, None, 3.0, None)
+    return [SimConfig(params=pp, dt=1e-3, n_steps=n_steps, n_paths=n,
+                      seed=seed, x0=x0, drift_cap=cap, record_stride=10)
+            for pp, n, seed, x0, cap in zip(params, n_paths, (7, 8, 7, 0),
+                                            x0s, caps)]
+
+
+def _assert_same_ensembles(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.config is b.config
+        for field in dataclasses.fields(TrajectoryEnsemble)[1:]:
+            assert_bitwise_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+def test_lane_drift_components_equals_per_config_calls():
+    # a (lanes,) array per param gives every lane the bits of its own
+    # config's batch, y = +0 and y = -0 on the jump-set plane included
+    cfgs = _lane_table_cfgs(n_paths=(64, 64, 64, 64))
+    table = sde._LaneTable.of(cfgs)
+    X = np.random.default_rng(5).uniform(-3.0, 3.0, (3, table.n_lanes))
+    X[1, ::5] = 0.0
+    X[1, 2::5] = -0.0
+    with np.errstate(all="ignore"):
+        got = sde.drift_components(table, X)
+        want = np.concatenate(
+            [sde.drift_components(cfg.params, X[:, lanes])
+             for cfg, (_, lanes) in zip(cfgs, table.segments())], axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lane_table_equals_single_config_runs(monkeypatch):
+    # every lane of a four-config table equals its own config's run bit
+    # for bit: the fixed-point config is capped on every step, and from
+    # step 300 on the drift of every lane with x > 0 is NaN, so those
+    # lanes truncate mid-run in both runs
+    real = sde.drift_components
+    calls = [0]
+
+    def drift_with_fault(pp, X):
+        B = real(pp, X)
+        if calls[0] == 300:
+            B[:, X[0] > 0] = np.nan
+        calls[0] += 1
+        return B
+
+    monkeypatch.setattr(sde, "drift_components", drift_with_fault)
+    cfgs = _lane_table_cfgs()
+    table = sde.simulate_ensembles(cfgs)
+    singles = []
+    for cfg in cfgs:
+        calls[0] = 0
+        singles.append(simulate_ensemble(cfg))
+    _assert_same_ensembles(table, singles)
+    assert np.all(table[2].cap_rejections > 0)
+    truncated = np.concatenate([ens.truncate_step for ens in table])
+    assert np.any(truncated == 300) and np.any(truncated == -1)
+
+
+def test_sharded_run_equals_one_shard(monkeypatch):
+    # two and three forced shards (more workers than this machine may
+    # have CPUs) cut the table inside its last config, whose jump
+    # distances must still measure against one polyline
+    cfgs = _lane_table_cfgs(n_steps=1500, n_paths=(5, 3, 4, 18))
+    runs = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(sde, "shard_count", lambda n_lanes, n=n: n)
+        runs.append(sde.simulate_ensembles(cfgs))
+    _assert_same_ensembles(runs[1], runs[0])
+    _assert_same_ensembles(runs[2], runs[0])
+
+
+def test_lane_table_rejects_mixed_shared_settings(p):
+    base = dict(params=p, dt=1e-3, n_steps=100, n_paths=2, record_stride=10)
+    for change in ({"dt": 2e-3}, {"n_steps": 200}, {"record_stride": 5},
+                   {"compute_jump_dist": False}):
+        with pytest.raises(ConfigError):
+            sde.simulate_ensembles([SimConfig(**base),
+                                    SimConfig(**{**base, **change})])
+    with pytest.raises(ConfigError):
+        sde.simulate_ensembles([])
 
 
 # ---------------------------------------------------------------------------
