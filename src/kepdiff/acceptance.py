@@ -152,7 +152,7 @@ def criterion_4():
     marg = measure.empirical_marginal(ens, bins=64, burn_in=burn)
     l1 = marg.l1_distance(p.ecc)
     ok_l1 = marg.total >= 1_000_000 and l1 < 0.05
-    _, emp, pred = measure.z_spread_by_angle(ens, p, burn_in=burn)
+    _, emp, pred = measure.z_spread_by_angle(ens, burn_in=burn)
     zdev = float(np.max(np.abs(emp / pred - 1)))
     ok_z = zdev < 0.20
     return CriterionResult(

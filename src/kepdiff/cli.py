@@ -181,6 +181,8 @@ def _refuse(mode, args, *flags, extra=()):
 # ---------------------------------------------------------------------------
 
 def cmd_field(args):
+    # field prints, or writes --grid's table to --out
+    _refuse("field", args, "--out-dir")
     cfg = load_config(args.config) if args.config else {}
     p = _params_from(cfg, args)
     if args.check_identities:
@@ -236,7 +238,7 @@ def cmd_simulate(args):
     preset = ("--dt", "--n-steps", "--n-paths", "--record-stride")
     sim_section = ["the config's sim section"] if cfg.get("sim") else []
     if args.deterministic:
-        _refuse("--deterministic", args, *preset, "--figure1",
+        _refuse("--deterministic", args, *preset, "--figure1", "--seed",
                 extra=sim_section)
         n_periods = 5 if args.n_periods is None else _at_least_one(
             "--n-periods", args.n_periods)
@@ -264,7 +266,7 @@ def cmd_simulate(args):
         return 0
 
     ens = sde.simulate_ensemble(sim)
-    rep = sde.kepler_diagnostics(ens, p)
+    rep = sde.kepler_diagnostics(ens)
     meta = sim.as_dict()
     traj_path = os.path.join(out_dir, prefix + "trajectories.csv")
     write_csv(traj_path, TRAJECTORY_COLUMNS, trajectory_blocks(ens),
@@ -316,7 +318,7 @@ def cmd_measure(args):
         mpath = os.path.join(out_dir, prefix + "marginal.csv")
         write_csv(mpath, ["bin_center", "empirical", "analytic"],
                   [(marg.centers, emp, ana)], metadata=meta)
-        v, zemp, zpred = measure.z_spread_by_angle(ens, p, burn_in=burn)
+        v, zemp, zpred = measure.z_spread_by_angle(ens, burn_in=burn)
         summary = {"config": meta, "l1": marg.l1_distance(p.ecc),
                    "chi2": marg.chi2(p.ecc), "samples": marg.total,
                    "z_spread": {"v": v.tolist(), "empirical": zemp.tolist(),
@@ -359,7 +361,9 @@ def cmd_spectral(args):
                           "C": scfg.C}, sort_keys=True))
         return 0
     _refuse("--gap", args, "--radii", "--C")
-    if not args.no_autocorr and args.seed is None:
+    if args.no_autocorr:
+        _refuse("--no-autocorr", args, "--seed")
+    elif args.seed is None:
         raise ConfigError("--gap with autocorrelation requires --seed "
                           "(pass --no-autocorr to skip)")
     n = cfg.get("grid", {}).get("n") if args.n is None else args.n

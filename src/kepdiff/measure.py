@@ -155,15 +155,6 @@ class EmpiricalMarginal:
         counts, _ = np.histogram(v, bins=edges)
         return cls(edges=edges, counts=counts.astype(np.int64), total=v.size)
 
-    def merge(self, other: "EmpiricalMarginal") -> "EmpiricalMarginal":
-        """Combine two partial histograms (associative, order-free)."""
-        if self.edges.shape != other.edges.shape \
-                or not np.allclose(self.edges, other.edges):
-            raise ConfigError("cannot merge histograms with different bins")
-        return EmpiricalMarginal(
-            edges=self.edges, counts=self.counts + other.counts,
-            total=self.total + other.total)
-
     @property
     def centers(self):
         return 0.5 * (self.edges[:-1] + self.edges[1:])
@@ -199,12 +190,14 @@ def empirical_marginal(ens, bins: int, burn_in: float) -> EmpiricalMarginal:
     return EmpiricalMarginal.from_samples(v, bins)
 
 
-def z_spread_by_angle(ens, p: PhysParams, burn_in: float):
+def z_spread_by_angle(ens, burn_in: float):
     """Empirical z standard deviation in eccentric-angle windows.
 
     Returns (window centers, empirical std, predicted Gaussian std).
-    The prediction applies GAUSS_WIDTH_FACTOR to the effective width.
+    The prediction applies GAUSS_WIDTH_FACTOR to the effective width at
+    the ensemble's params.
     """
+    p = ens.config.params
     _, v, pos = ens.stationary_samples(burn_in)
     v, z = v.ravel(), pos[..., 2].ravel()
     edges = np.linspace(0.0, 2 * np.pi, Z_SPREAD_WINDOWS + 1)

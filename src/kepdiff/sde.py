@@ -24,8 +24,9 @@ configurations (C7's four autocorrelation ensembles) thus run as one
 pass (:func:`simulate_ensembles`); :func:`simulate_ensemble` is the
 one-config case.  The table is cut by lane range into one shard per
 CPU when every shard keeps at least :data:`parallel.MIN_SHARD` lanes;
-the shards run in forked workers and are merged back per config.  One
-shard runs in this process, through the same code.
+the shards run in forked workers and are merged back.  One shard runs
+in this process, through the same code, and its arrays are the table's.
+An ensemble stores its config and views of what its lanes made, no more.
 
 A step does only what every lane needs: the drift, the cap and the
 update x + b dt + noise, written into the row of a preallocated chunk
@@ -65,6 +66,8 @@ CONV_U_TOL = 0.15
 CONV_Z_TOL = 0.2
 
 _NOISE_CHUNK = 2048
+#: Records whose (u, v) one elliptic_uv call evaluates, at least one lane's.
+_UV_BLOCK = 1 << 16
 #: Lanes whose noise is drawn into one contiguous tile before it is
 #: scaled into the lane-strided chunk buffer.
 _NOISE_TILE = 16
@@ -187,26 +190,32 @@ class SimConfig:
 class TrajectoryEnsemble:
     """Recorded ensemble with per-step diagnostics.
 
-    pos has shape (n_paths, n_rec, 3); u, v and dist_sigma align with it.
-    Truncated paths stay frozen at their last valid position from the
-    truncation step onward.  cap_rejections counts every capped step.
+    pos has shape (n_paths, n_rec, 3), record 0 the start; u, v and
+    dist_sigma align with it.  Truncated paths (truncate_step >= 0) stay
+    frozen from the truncation step on.  cap_rejections counts every
+    capped step.
     """
 
     config: SimConfig
-    times: np.ndarray
     pos: np.ndarray
     u: np.ndarray
     v: np.ndarray
     dist_sigma: np.ndarray
-    truncated: np.ndarray
     truncate_step: np.ndarray
     cap_rejections: np.ndarray
     jump_crossings: np.ndarray
-    start_u: np.ndarray
 
     @property
     def n_paths(self):
         return self.pos.shape[0]
+
+    @property
+    def times(self):
+        return self.config.record_times()
+
+    @property
+    def truncated(self):
+        return self.truncate_step >= 0
 
     @property
     def record_dt(self):
@@ -337,73 +346,68 @@ def simulate_ensembles(cfgs) -> list:
     process when there is one shard.  Jump distances are measured
     against one polyline per config (:func:`fields.jump_distance_many`),
     so they take the config's largest |z| from the merged records and
-    then run in a second set of workers, one per shard again.
+    then run in a second set of workers, one per shard again.  Both
+    passes hand over through :func:`_merge`.
     """
     table = _LaneTable.of(cfgs)
     bounds = shard_ranges(table.n_lanes, shard_count(table.n_lanes))
     shards = [table[lo:hi] for lo, hi in bounds]
-    n_rec = table.n_steps // table.stride + 1
-    rec_pos = np.empty((table.n_lanes, n_rec, 3))
-    u, v, dist = (np.empty((table.n_lanes, n_rec)) for _ in range(3))
-    truncate_step, cap_rejections, crossings = (
-        np.empty(table.n_lanes, dtype=np.int64) for _ in range(3))
-    merged = (rec_pos, u, v, truncate_step, cap_rejections, crossings)
-    # each shard's arrays are copied in, and freed, as they arrive
-    for (lo, hi), part in zip(bounds, imap(_run_shard, shards, len(shards)),
-                              strict=True):
-        for whole, piece in zip(merged, part):
-            whole[lo:hi] = piece
+    rec = _merge(bounds, imap(_run_shard, shards, len(shards)))
     if table.cfgs[0].compute_jump_dist:
-        z_max = [float(np.max(np.abs(rec_pos[lanes, :, 2]), initial=0.0))
+        z_max = [float(np.max(np.abs(rec["pos"][lanes, :, 2]), initial=0.0))
                  for _, lanes in table.segments()]
-        jobs = [(shard, rec_pos[lo:hi], z_max)
+        jobs = [(shard, rec["pos"][lo:hi], z_max)
                 for shard, (lo, hi) in zip(shards, bounds)]
-        for (lo, hi), piece in zip(bounds, imap(_jump_distances, jobs,
-                                                len(jobs)), strict=True):
-            dist[lo:hi] = piece
+        rec |= _merge(bounds, imap(_jump_distances, jobs, len(jobs)))
     else:
-        dist[:] = np.nan
+        rec["dist_sigma"] = np.full(rec["u"].shape, np.nan)
+    return [TrajectoryEnsemble(config=table.cfgs[c],
+                               **{k: a[lanes] for k, a in rec.items()})
+            for c, lanes in table.segments()]
 
-    out = []
-    for c, lanes in table.segments():
-        cfg = table.cfgs[c]
-        X0 = table.x0[lanes]
-        with np.errstate(all="ignore"):  # finite starts whose squares overflow
-            u0, _ = elliptic_uv(cfg.params, X0[:, 0], X0[:, 1])
-        out.append(TrajectoryEnsemble(
-            config=cfg, times=cfg.record_times(), pos=rec_pos[lanes],
-            u=u[lanes], v=v[lanes], dist_sigma=dist[lanes],
-            truncated=truncate_step[lanes] >= 0,
-            truncate_step=truncate_step[lanes],
-            cap_rejections=cap_rejections[lanes],
-            jump_crossings=crossings[lanes], start_u=u0))
-    return out
+
+def _merge(bounds, parts):
+    """The table's arrays from parts, one dict of arrays per (lo, hi) of
+    bounds: a lone shard's own, else each part copied in and freed as
+    the next arrives."""
+    if len(bounds) == 1:
+        (whole,) = parts
+        return whole
+    whole = {}
+    for (lo, hi), part in zip(bounds, parts, strict=True):
+        whole = whole or {k: np.empty((bounds[-1][1], *a.shape[1:]), a.dtype)
+                          for k, a in part.items()}
+        for k, a in part.items():
+            whole[k][lo:hi] = a
+    return whole
 
 
 def _run_shard(table):
-    """Records, their (u, v), truncation steps, cap counts and crossing
-    counts of a table's lanes: the work of one shard."""
-    rec_pos, truncate_step, cap_rejections, crossings = _run_steps(table)
-    u, v = np.empty(rec_pos.shape[:2]), np.empty(rec_pos.shape[:2])
+    """The work of one shard: :func:`_run_steps` and the (u, v) of its
+    records, evaluated a block of lanes at a time, so that the
+    temporaries stay small beside the records."""
+    out = _run_steps(table)
+    pos = out["pos"]
+    out["u"], out["v"] = np.empty(pos.shape[:2]), np.empty(pos.shape[:2])
+    block = max(1, _UV_BLOCK // pos.shape[1])
     for c, lanes in table.segments():
-        flat = rec_pos[lanes].reshape(-1, 3)
-        with np.errstate(all="ignore"):
-            uu, vv = elliptic_uv(table.cfgs[c].params, flat[:, 0], flat[:, 1])
-        u[lanes] = uu.reshape(-1, rec_pos.shape[1])
-        v[lanes] = vv.reshape(-1, rec_pos.shape[1])
-    return rec_pos, u, v, truncate_step, cap_rejections, crossings
+        for lo in range(lanes.start, lanes.stop, block):
+            ix = slice(lo, min(lo + block, lanes.stop))
+            with np.errstate(all="ignore"):
+                out["u"][ix], out["v"][ix] = elliptic_uv(
+                    table.cfgs[c].params, pos[ix, :, 0], pos[ix, :, 1])
+    return out
 
 
 def _jump_distances(job):
-    """Jump distances of a shard's records, job = (table, records,
-    largest |z| per config)."""
-    table, rec_pos, z_max = job
-    dist = np.empty(rec_pos.shape[:2])
+    """dist_sigma of a shard's records, job = (table, records, largest
+    |z| per config)."""
+    table, pos, z_max = job
+    dist = np.empty(pos.shape[:2])
     for c, lanes in table.segments():
-        dist[lanes] = jump_distance_many(
-            table.cfgs[c].params, rec_pos[lanes].reshape(-1, 3),
-            z_max=z_max[c]).reshape(-1, rec_pos.shape[1])
-    return dist
+        dist[lanes] = jump_distance_many(table.cfgs[c].params, pos[lanes],
+                                         z_max=z_max[c])
+    return {"dist_sigma": dist}
 
 
 def _run_steps(table):
@@ -432,8 +436,9 @@ def _run_steps(table):
     between consecutive settled states whose midpoint (x, 0, z) lies in
     the lane's jump set.  Every stride-th settled state is recorded.
 
-    Returns the records, truncation steps, cap counts and crossing
-    counts; its buffers are freed on return.
+    Returns the records (pos), truncate_step, cap_rejections and
+    jump_crossings, keyed by those names; its buffers are freed on
+    return.
     """
     dt, stride, n_steps = table.dt, table.stride, table.n_steps
     cap, origin_r, scale = table.cap, table.origin_r, table.scale
@@ -547,7 +552,8 @@ def _run_steps(table):
             rec_i += len(recs)
             k += chunk
             states[0] = S[chunk]
-    return rec_pos, truncate_step, cap_rejections, crossings
+    return {"pos": rec_pos, "truncate_step": truncate_step,
+            "cap_rejections": cap_rejections, "jump_crossings": crossings}
 
 
 def deterministic_orbit(p: PhysParams, n_periods=5):
@@ -595,10 +601,8 @@ def areal_velocity(ens: TrajectoryEnsemble):
     return (x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:]) / (2 * dt)
 
 
-def kepler_diagnostics(ens: TrajectoryEnsemble, p: PhysParams) -> dict:
+def kepler_diagnostics(ens: TrajectoryEnsemble) -> dict:
     """Summary report: convergence fractions, areal velocity, counters."""
-    if ens.n_paths == 0:
-        raise ConfigError("empty ensemble")
     frac_t = ens.converged_mask().mean(axis=0)
     half = ens.times >= 0.5 * ens.times[-1]
     av = areal_velocity(ens)[:, half[1:]]
@@ -614,7 +618,7 @@ def kepler_diagnostics(ens: TrajectoryEnsemble, p: PhysParams) -> dict:
         "mean_abs_z_final": float(np.mean(np.abs(
             ens.pos[~ens.truncated][:, half][..., 2]))),
         "truncated_paths": int(np.sum(ens.truncated)),
-        "interior_starts": int(np.sum(ens.start_u > p.ecc)),
+        "interior_starts": int(np.sum(ens.u[:, 0] > ens.config.params.ecc)),
         "cap_rejections": int(np.sum(ens.cap_rejections)),
         "jump_crossings": int(np.sum(ens.jump_crossings)),
     }

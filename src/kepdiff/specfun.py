@@ -116,11 +116,8 @@ def complex_velocity_finite(p: PhysParams, n: int, pt):
         raise ConfigError("degree must be >= 1")
     pt = as_points(pt)
     nu = nodal_coordinate(p, pt)
-    if pt.ndim == 1:
-        rho = np.asarray(laguerre_ratio(n - 1, n * complex(nu)))
-    else:
-        rho = np.array([laguerre_ratio(n - 1, n * nv)
-                        for nv in np.ravel(nu)]).reshape(nu.shape)
+    rho = np.array([laguerre_ratio(n - 1, n * nv)
+                    for nv in np.ravel(nu)]).reshape(nu.shape)
     e = p.ecc
     unit = pt / radius(pt)[..., None]
     fixed = np.array([1j, -np.sqrt(1 - e * e), 0.0])

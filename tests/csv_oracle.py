@@ -34,10 +34,10 @@ def write_csv_rows(path, columns, rows, metadata=None):
 
 def trajectory_rows(ens):
     """Path-major (path, t, x, y, z, u, v, dist_sigma) tuples."""
-    rows = []
+    rows, times = [], ens.times
     for i in range(ens.n_paths):
-        for k in range(len(ens.times)):
-            rows.append((i, float(ens.times[k]),
+        for k in range(len(times)):
+            rows.append((i, float(times[k]),
                          float(ens.pos[i, k, 0]), float(ens.pos[i, k, 1]),
                          float(ens.pos[i, k, 2]), float(ens.u[i, k]),
                          float(ens.v[i, k]), float(ens.dist_sigma[i, k])))

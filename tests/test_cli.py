@@ -280,16 +280,39 @@ def test_verify_quick(capsys):
 ])
 def test_malformed_input_exit_code(capsys, tmp_path, monkeypatch, argv):
     # a dict stands for a config document, passed as its file's path; a
-    # relative --out lands in tmp_path
+    # relative --out lands in tmp_path.  field, which refuses --out-dir,
+    # gets none, so its cases fail on the input they name.
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "config.json"
     for arg in argv:
         if isinstance(arg, dict):
             write_json(cfg, arg)
     argv = [str(cfg) if isinstance(arg, dict) else arg for arg in argv]
-    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    out_dir = () if argv[0] == "field" else ("--out-dir", str(tmp_path))
+    code, _, err = run(capsys, *argv, *out_dir)
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize("argv, ignored", [
+    (("field", "--point", "0.5,0,0"), "--out-dir"),
+    (("field", "--grid", "3", "--box", "0,1,0,1", "--out", "g.csv"),
+     "--out-dir"),
+    (("field", "--check-identities", "--n", "10"), "--out-dir"),
+    (("simulate", "--deterministic", "--n-periods", "1", "--seed", "3"),
+     "--seed"),
+    (("spectral", "--gap", "--no-autocorr", "--eps", "0.3", "--n", "120",
+      "--seed", "3"), "--seed"),
+])
+def test_ignored_flag_refused(capsys, tmp_path, monkeypatch, argv, ignored):
+    # a mode that would not read the flag refuses it, before any output
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out-dir", str(out))
+    assert code == 2
+    assert "config error" in err and f"ignore {ignored}" in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

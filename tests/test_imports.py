@@ -57,9 +57,26 @@ def _referenced_names(tree):
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def _definitions(node):
+    """(label, name, line, names used beside it) of a top-level function
+    or class and of each method and property of a class: a member's
+    label is Class.member, and the names beside it are those the rest
+    of its class uses."""
+    yield node.name, node.name, node.lineno, set()
+    if isinstance(node, ast.ClassDef):
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                rest = set().union(*(_referenced_names(other)
+                                     for other in node.body
+                                     if other is not item))
+                yield (f"{node.name}.{item.name}", item.name, item.lineno,
+                       rest)
+
+
 def test_every_public_name_has_a_program_caller():
-    # a module-level public function or class must be used by another
-    # kepdiff module, by its own module outside its definition, or by
+    # a module-level public function or class, and a public method or
+    # property of a module-level class, must be used by another kepdiff
+    # module, by its own module outside its definition, or by
     # perfbench/; tests and the __init__ re-exports do not count
     bodies = {path: ast.parse(path.read_text(), filename=str(path)).body
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
@@ -74,11 +91,14 @@ def test_every_public_name_has_a_program_caller():
     offenders = []
     for path, body in bodies.items():
         for node, stmt_names in zip(body, names[path]):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_") or node.name in outside:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if uses[node.name] - (node.name in stmt_names) == 0:
-                offenders.append(f"{path.name}:{node.lineno} {node.name}")
+            for label, name, line, beside in _definitions(node):
+                if name.startswith("_") or name in outside:
+                    continue
+                if uses[name] - (name in stmt_names) == 0 \
+                        and name not in beside:
+                    offenders.append(f"{path.name}:{line} {label}")
     assert not offenders, "no program caller:\n" + "\n".join(offenders)
 
 

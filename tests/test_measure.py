@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import ellipse_average
-from kepdiff import (ConfigError, EmpiricalMarginal,
+from kepdiff import (EmpiricalMarginal,
                      InsufficientSamplesError, PhysParams,
                      cross_section_widths, drift, ellipse_point,
                      empirical_marginal, laplace_weight,
@@ -259,24 +259,6 @@ def test_marginal_of_exact_sampler():
     assert m.l1_distance(e) < 0.02
     assert m.probabilities.sum() == pytest.approx(1.0)
     assert np.sum(m.analytic_probs(e)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_marginal_merge_associative():
-    e = 0.5
-    a = EmpiricalMarginal.from_samples(_exact_sampler(e, 30_000, 1), bins=32)
-    b = EmpiricalMarginal.from_samples(_exact_sampler(e, 30_000, 2), bins=32)
-    c = EmpiricalMarginal.from_samples(_exact_sampler(e, 30_000, 3), bins=32)
-    m1 = a.merge(b).merge(c)
-    m2 = a.merge(b.merge(c))
-    np.testing.assert_array_equal(m1.counts, m2.counts)
-    assert m1.total == 90_000
-
-
-def test_marginal_merge_bin_mismatch():
-    a = EmpiricalMarginal.from_samples([0.1], bins=8)
-    b = EmpiricalMarginal.from_samples([0.1], bins=16)
-    with pytest.raises(ConfigError):
-        a.merge(b)
 
 
 def test_marginal_density_normalised():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -172,7 +173,7 @@ def test_z_empirical_width_selects_gauss_convention(p, stationary_ensemble):
     # the empirical z std in an angle window matches the effective width
     # divided by sqrt(2); the undivided convention is rejected
     from kepdiff import z_spread_by_angle
-    _, emp, pred = z_spread_by_angle(stationary_ensemble, p, burn_in=30.0)
+    _, emp, pred = z_spread_by_angle(stationary_ensemble, burn_in=30.0)
     assert np.all(np.abs(emp / pred - 1) < 0.25)
     assert np.all(np.abs(emp / (pred * math.sqrt(2)) - 1) > 0.2)
 
@@ -195,7 +196,9 @@ def _simulate_reference(cfg):
     record work with a full set of masks on every step;
     :func:`simulate_ensemble`, which settles that work once per noise
     chunk, must equal it bit for bit.  The drift is looked up on ``sde``
-    so a monkeypatch reaches both.
+    so a monkeypatch reaches both.  Returns the ensemble's arrays by
+    field name, and the record times, truncation flags and start u it
+    computes on its own under "times", "truncated" and "start_u".
     """
     p = cfg.params
     dt, eps = cfg.dt, p.eps
@@ -267,19 +270,21 @@ def _simulate_reference(cfg):
     else:
         dist = np.full((n_paths, rec_i), np.nan)
 
-    return TrajectoryEnsemble(
-        config=cfg, times=rec_t, pos=rec_pos, u=u, v=v, dist_sigma=dist,
-        truncated=truncate_step >= 0, truncate_step=truncate_step,
-        cap_rejections=cap_rejections, jump_crossings=crossings, start_u=u0)
+    return dict(times=rec_t, pos=rec_pos, u=u, v=v, dist_sigma=dist,
+                truncated=truncate_step >= 0, truncate_step=truncate_step,
+                cap_rejections=cap_rejections, jump_crossings=crossings,
+                start_u=u0)
 
 
 def _assert_same_arrays(ens, ref):
-    for field in dataclasses.fields(TrajectoryEnsemble):
-        if field.name == "config":
-            continue
-        a, b = getattr(ens, field.name), getattr(ref, field.name)
-        assert a.dtype == b.dtype and a.shape == b.shape, field.name
-        np.testing.assert_array_equal(a, b, err_msg=field.name)
+    # every stored array, and the derived times, truncation flags and
+    # start u (record 0), bit for bit
+    names = [f.name for f in dataclasses.fields(TrajectoryEnsemble)[1:]]
+    got = {name: getattr(ens, name) for name in names}
+    got.update(times=ens.times, truncated=ens.truncated, start_u=ens.u[:, 0])
+    assert got.keys() == ref.keys()
+    for name, a in got.items():
+        assert_bitwise_equal(a, ref[name])
 
 
 def _assert_matches_reference(cfg):
@@ -553,6 +558,24 @@ def test_sharded_run_equals_one_shard(monkeypatch):
     _assert_same_ensembles(runs[2], runs[0])
 
 
+def test_lone_shard_holds_its_records_once():
+    # 64 lanes run in this process; recording every step of 8000 makes
+    # the records (24.6 MB) outweigh the step buffers about fourfold.
+    # The ensemble holds the shard's own arrays, not a copy, and (u, v)
+    # is evaluated a block of lanes at a time.
+    cfg = SimConfig(params=PhysParams(ecc=0.5, eps=0.2), dt=1e-3,
+                    n_steps=8000, n_paths=64, seed=3, record_stride=1,
+                    compute_jump_dist=False)
+    tracemalloc.start()
+    try:
+        ens = simulate_ensemble(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    records = sum(a.nbytes for a in (ens.pos, ens.u, ens.v, ens.dist_sigma))
+    assert peak < 1.5 * records
+
+
 def test_lane_table_rejects_mixed_shared_settings(p):
     base = dict(params=p, dt=1e-3, n_steps=100, n_paths=2, record_stride=10)
     for change in ({"dt": 2e-3}, {"n_steps": 200}, {"record_stride": 5},
@@ -594,7 +617,7 @@ def test_deterministic_orbit_period():
 
 
 def test_diagnostics_report(p, stationary_ensemble):
-    rep = kepler_diagnostics(stationary_ensemble, p)
+    rep = kepler_diagnostics(stationary_ensemble)
     assert 0 <= rep["fraction_converged_final"] <= 1
     assert rep["interior_starts"] == 0          # ring start at 3a
     assert len(rep["convergence_curve"]["t"]) == len(stationary_ensemble.times)
@@ -603,7 +626,7 @@ def test_diagnostics_report(p, stationary_ensemble):
 
 def test_interior_start_detected(p):
     cfg = small_cfg(p, n_steps=200, n_paths=4, x0=np.array([0.3, 0.0, 0.0]))
-    rep = kepler_diagnostics(simulate_ensemble(cfg), p)
+    rep = kepler_diagnostics(simulate_ensemble(cfg))
     assert rep["interior_starts"] == 4
 
 
