@@ -98,14 +98,15 @@ def load_config(path):
 
 
 def _params_from(cfg, args):
-    sec = dict(cfg.get("params", {}))
+    given = {}
     for flag, key in (("lam", "lambda"), ("mu", "mu"), ("ecc", "ecc"),
                       ("eps", "eps")):
         val = getattr(args, flag, None)
+        if val is None:
+            val = cfg.get("params", {}).get(key)
         if val is not None:
-            sec[key] = val
-    return PhysParams(lam=sec.get("lambda", 1.0), mu=sec.get("mu", 1.0),
-                      ecc=sec.get("ecc", 0.5), eps=sec.get("eps", 0.1))
+            given[flag] = val
+    return PhysParams(**given)
 
 
 def _x0_from(spec):

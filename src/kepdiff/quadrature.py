@@ -14,7 +14,7 @@ from .params import ConvergenceError
 MAX_DEPTH = 48
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -23,8 +23,8 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     err = left + right - whole
     if abs(err) <= 15.0 * tol or (b - a) < 1e-14:
         return left + right + err / 15.0
@@ -44,5 +44,5 @@ def adaptive_quad(f, a, b, tol=1e-12):
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
+    whole = _simpson(a, fa, b, fb, fm)
     return _adapt(f, a, fa, b, fb, m, fm, whole, tol, MAX_DEPTH)

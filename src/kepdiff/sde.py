@@ -24,9 +24,10 @@ configurations (C7's four autocorrelation ensembles) thus run as one
 pass (:func:`simulate_ensembles`); :func:`simulate_ensemble` is the
 one-config case.  The table is cut by lane range into one shard per
 CPU when every shard keeps at least :data:`parallel.MIN_SHARD` lanes;
-the shards run in forked workers and are merged back.  One shard runs
-in this process, through the same code, and its arrays are the table's.
-An ensemble stores its config and views of what its lanes made, no more.
+forked workers step the shards, then map their records to (u, v) and
+jump distances, and each pass is merged back.  One shard runs in this
+process, through the same code, and its arrays are the table's.  An
+ensemble stores its config and views of what its lanes made, no more.
 
 A step does only what every lane needs: the drift, the cap and the
 update x + b dt + noise, written into the row of a preallocated chunk
@@ -66,8 +67,8 @@ CONV_U_TOL = 0.15
 CONV_Z_TOL = 0.2
 
 _NOISE_CHUNK = 2048
-#: Records whose (u, v) one elliptic_uv call evaluates, at least one lane's.
-_UV_BLOCK = 1 << 16
+#: Records per elliptic_uv and jump_distance_many call, at least a lane's.
+_RECORD_BLOCK = 1 << 16
 #: Lanes whose noise is drawn into one contiguous tile before it is
 #: scaled into the lane-strided chunk buffer.
 _NOISE_TILE = 16
@@ -341,25 +342,26 @@ def simulate_ensembles(cfgs) -> list:
     config's ensemble is the same bit for bit as its own run.
 
     The table is cut into contiguous lane ranges
-    (:func:`parallel.shard_count`), each stepped by :func:`_run_steps`
-    and mapped to (u, v) in a forked worker of its own, or in this
-    process when there is one shard.  Jump distances are measured
-    against one polyline per config (:func:`fields.jump_distance_many`),
-    so they take the config's largest |z| from the merged records and
-    then run in a second set of workers, one per shard again.  Both
-    passes hand over through :func:`_merge`.
+    (:func:`parallel.shard_count`), each run in a forked worker of its
+    own, or in this process when there is one shard, in two passes that
+    hand over through :func:`_merge`: :func:`_run_steps`, then
+    :func:`_record_coordinates` on the merged records.  The jump
+    distances take each config's largest |z| from the merged records,
+    so that a config measures against one polyline
+    (:func:`fields.jump_distance_many`).
     """
     table = _LaneTable.of(cfgs)
     bounds = shard_ranges(table.n_lanes, shard_count(table.n_lanes))
     shards = [table[lo:hi] for lo, hi in bounds]
-    rec = _merge(bounds, imap(_run_shard, shards, len(shards)))
+    rec = _merge(bounds, imap(_run_steps, shards, len(shards)))
+    z_max = None
     if table.cfgs[0].compute_jump_dist:
         z_max = [float(np.max(np.abs(rec["pos"][lanes, :, 2]), initial=0.0))
                  for _, lanes in table.segments()]
-        jobs = [(shard, rec["pos"][lo:hi], z_max)
-                for shard, (lo, hi) in zip(shards, bounds)]
-        rec |= _merge(bounds, imap(_jump_distances, jobs, len(jobs)))
-    else:
+    jobs = [(shard, rec["pos"][lo:hi], z_max)
+            for shard, (lo, hi) in zip(shards, bounds)]
+    rec |= _merge(bounds, imap(_record_coordinates, jobs, len(jobs)))
+    if z_max is None:
         rec["dist_sigma"] = np.full(rec["u"].shape, np.nan)
     return [TrajectoryEnsemble(config=table.cfgs[c],
                                **{k: a[lanes] for k, a in rec.items()})
@@ -382,32 +384,25 @@ def _merge(bounds, parts):
     return whole
 
 
-def _run_shard(table):
-    """The work of one shard: :func:`_run_steps` and the (u, v) of its
-    records, evaluated a block of lanes at a time, so that the
-    temporaries stay small beside the records."""
-    out = _run_steps(table)
-    pos = out["pos"]
-    out["u"], out["v"] = np.empty(pos.shape[:2]), np.empty(pos.shape[:2])
-    block = max(1, _UV_BLOCK // pos.shape[1])
+def _record_coordinates(job):
+    """u, v and, given each config's largest |z|, dist_sigma of a shard's
+    records, job = (table, records, z_max or None); _RECORD_BLOCK records
+    (at least a lane's) per call keep the temporaries small beside them."""
+    table, pos, z_max = job
+    keys = ("u", "v") if z_max is None else ("u", "v", "dist_sigma")
+    out = {k: np.empty(pos.shape[:2]) for k in keys}
+    block = max(1, _RECORD_BLOCK // pos.shape[1])
     for c, lanes in table.segments():
+        p = table.cfgs[c].params
         for lo in range(lanes.start, lanes.stop, block):
             ix = slice(lo, min(lo + block, lanes.stop))
             with np.errstate(all="ignore"):
                 out["u"][ix], out["v"][ix] = elliptic_uv(
-                    table.cfgs[c].params, pos[ix, :, 0], pos[ix, :, 1])
+                    p, pos[ix, :, 0], pos[ix, :, 1])
+            if z_max is not None:
+                out["dist_sigma"][ix] = jump_distance_many(
+                    p, pos[ix], z_max=z_max[c])
     return out
-
-
-def _jump_distances(job):
-    """dist_sigma of a shard's records, job = (table, records, largest
-    |z| per config)."""
-    table, pos, z_max = job
-    dist = np.empty(pos.shape[:2])
-    for c, lanes in table.segments():
-        dist[lanes] = jump_distance_many(table.cfgs[c].params, pos[lanes],
-                                         z_max=z_max[c])
-    return {"dist_sigma": dist}
 
 
 def _run_steps(table):

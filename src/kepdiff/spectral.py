@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -144,10 +145,14 @@ class GridSpec:
         if len(box) != self.dim:
             raise ConfigError("box must give one (lo, hi) pair per axis")
         object.__setattr__(self, "box", box)
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         hs = [(hi - lo) / self.n for lo, hi in box]
         if max(hs) - min(hs) > 1e-12 * max(hs):
             raise ConfigError(f"grid spacing must be uniform, got {hs}")
+        if not self.excluded >= 0:
+            raise ConfigError(f"excluded must be >= 0, got {self.excluded}")
         if self.excluded > 0:
             for (lo, hi) in box:
                 if not (lo < -self.excluded and hi > self.excluded):
@@ -187,7 +192,7 @@ def production_grid_2d(p: PhysParams, n=None) -> GridSpec:
     if n is None:
         wmin = min_effective_width(p)
         n = int(math.ceil(4.0 * a / (wmin / 8.0)))
-    return GridSpec(dim=2, box=box, n=int(n), excluded=0.05 * a)
+    return GridSpec(dim=2, box=box, n=n, excluded=0.05 * a)
 
 
 def min_effective_width(p: PhysParams) -> float:
@@ -566,19 +571,17 @@ def _fit_decay(C, dt):
     return -float(sol[1]), False
 
 
-def gap_from_autocorrelation(ens: TrajectoryEnsemble, observable=None,
-                             burn_in=None) -> AutocorrGap:
+def gap_from_autocorrelation(ens: TrajectoryEnsemble, *, burn_in,
+                             observable=None) -> AutocorrGap:
     """Relaxation rate from stationary ensemble autocovariances.
 
-    observable maps (u, v, pos) -> per-sample values; default cos(v).
-    The ensemble-averaged autocovariance over the lag window (twelve
-    time units lam^3/mu^2, at most 0.4 of the post-burn-in span) is
-    fitted for its exponential decay rate; the error bar is a path
-    bootstrap with a fixed seed.
+    observable maps (u, v, pos) -> per-sample values, default cos(v),
+    of the records from time burn_in on.  The ensemble-averaged
+    autocovariance over the lag window (twelve time units lam^3/mu^2,
+    at most 0.4 of the post-burn-in span) is fitted for its exponential
+    decay rate; the error bar is a path bootstrap with a fixed seed.
     """
     p = ens.config.params
-    if burn_in is None:
-        burn_in = 0.1 * ens.times[-1]
     lag_window = min(12.0 * p.lam ** 3 / p.mu ** 2,
                      0.4 * (ens.times[-1] - burn_in))
     u, v, pos = ens.stationary_samples(burn_in)

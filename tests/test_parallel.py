@@ -71,7 +71,7 @@ def test_sharded_run_and_parallel_csv_leave_no_process(monkeypatch,
     ens = simulate_ensemble(_cfg(128))
     io.write_csv(tmp_path / "t.csv", io.TRAJECTORY_COLUMNS,
                  io.trajectory_blocks(ens))
-    # two workers each for the steps, the jump distances and the text
+    # two workers each for the steps, the record coordinates and the text
     assert len(forks) == 6
     assert multiprocessing.active_children() == []
     # the same bytes, in path order, as the text made in this process

@@ -548,24 +548,28 @@ def test_lane_table_equals_single_config_runs(monkeypatch):
 def test_sharded_run_equals_one_shard(monkeypatch):
     # two and three forced shards (more workers than this machine may
     # have CPUs) cut the table inside its last config, whose jump
-    # distances must still measure against one polyline
+    # distances must still measure against one polyline; so does one
+    # lane per record-pass block
     cfgs = _lane_table_cfgs(n_steps=1500, n_paths=(5, 3, 4, 18))
     runs = []
     for n in (1, 2, 3):
         monkeypatch.setattr(sde, "shard_count", lambda n_lanes, n=n: n)
         runs.append(sde.simulate_ensembles(cfgs))
-    _assert_same_ensembles(runs[1], runs[0])
-    _assert_same_ensembles(runs[2], runs[0])
+    monkeypatch.setattr(sde, "_RECORD_BLOCK", 1)
+    runs.append(sde.simulate_ensembles(cfgs))
+    for run in runs[1:]:
+        _assert_same_ensembles(run, runs[0])
 
 
-def test_lone_shard_holds_its_records_once():
+@pytest.mark.parametrize("compute_jump_dist", [False, True])
+def test_lone_shard_holds_its_records_once(compute_jump_dist):
     # 64 lanes run in this process; recording every step of 8000 makes
     # the records (24.6 MB) outweigh the step buffers about fourfold.
     # The ensemble holds the shard's own arrays, not a copy, and (u, v)
-    # is evaluated a block of lanes at a time.
+    # and the jump distances are evaluated a block of lanes at a time.
     cfg = SimConfig(params=PhysParams(ecc=0.5, eps=0.2), dt=1e-3,
                     n_steps=8000, n_paths=64, seed=3, record_stride=1,
-                    compute_jump_dist=False)
+                    compute_jump_dist=compute_jump_dist)
     tracemalloc.start()
     try:
         ens = simulate_ensemble(cfg)

@@ -46,6 +46,13 @@ def test_grid_validation():
         GridSpec(dim=2, box=((0, 1), (0, 2)), n=10)  # nonuniform spacing
     with pytest.raises(ConfigError):
         GridSpec(dim=2, box=((0, 1), (0, 1)), n=10, excluded=0.2)
+    for n in (0, -4, 2.7):
+        with pytest.raises(ConfigError):
+            GridSpec(dim=1, box=((0, 1),), n=n)
+    with pytest.raises(ConfigError):
+        GridSpec(dim=2, box=((0, 1), (0, 1)), n=10, excluded=-0.2)
+    with pytest.raises(ConfigError):
+        production_grid_2d(PhysParams(), n=120.5)
 
 
 def test_resolution_precondition():
