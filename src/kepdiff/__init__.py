@@ -13,9 +13,8 @@ from .fields import (alpha_beta, complex_velocity, drift, drift_root,
                      from_elliptic, in_jump_set, jump_distance_many,
                      jump_interval, kepler_speed, nodal_coordinate,
                      to_elliptic, wave_gradients)
-from .specfun import (PolyEval, complex_velocity_finite, hermite,
-                      hermite_ratio, laguerre, laguerre_ratio, log_amplitude,
-                      log_wave)
+from .specfun import (complex_velocity_finite, hermite_ratio, laguerre_ratio,
+                      log_amplitude, log_wave)
 from .measure import (EmpiricalMarginal, GAUSS_WIDTH_FACTOR,
                       cross_section_widths, empirical_marginal,
                       laplace_weight, laplace_weight_integral,

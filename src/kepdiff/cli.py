@@ -368,8 +368,6 @@ def cmd_spectral(args):
         raise ConfigError("--gap with autocorrelation requires --seed "
                           "(pass --no-autocorr to skip)")
     n = cfg.get("grid", {}).get("n") if args.n is None else args.n
-    if n is not None:
-        _at_least_one("grid n", n)
     grid = spectral.production_grid_2d(p, n=n)
     G = spectral.build_generator(p, grid)  # the resolution gate on n
     out_dir, prefix = _out_dir(cfg, args)

@@ -1,108 +1,82 @@
-"""Polynomial machinery and the limiting wave function.
+"""Polynomial ratios and the limiting wave function.
 
-Laguerre and Hermite evaluation at complex argument with overflow-safe
-joint rescaling, the scaled Hermite logarithmic ratio whose even-degree
-limit reproduces the drift root, the finite-degree complex velocity used
-for convergence checks against the closed form, and the limiting wave
+Logarithmic derivatives of Laguerre and Hermite polynomials at complex
+argument by forward ratio recurrences (Gautschi 1967), which need no
+overflow rescaling: the scaled Hermite ratio whose even-degree limit
+reproduces the drift root, the finite-degree complex velocity used for
+convergence checks against the closed form, and the limiting wave
 function in logarithmic form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .fields import as_points, drift_root, nodal_coordinate, radius
 from .params import ConfigError, NodeError, PhysParams
 
-#: Rescale the recurrence pair by 2**-512 whenever it exceeds this.
-_SCALE_LIMIT = 2.0 ** 512
-_SCALE_SHIFT = 512
-
-
-@dataclass(frozen=True)
-class PolyEval:
-    """Value/derivative pair of a polynomial, jointly rescaled.
-
-    The true value is ``value * 2**exponent`` (same for the derivative);
-    ratios of the pair need no unscaling, and exponent > 0 exactly when
-    the recurrence was rescaled.
-    """
-
-    value: complex
-    derivative: complex
-    exponent: int = 0
-
-
-def laguerre(n: int, z: complex) -> PolyEval:
-    """Laguerre polynomial and derivative by the three-term recurrence.
-
-    (k+1) L_{k+1}(z) = (2k+1-z) L_k(z) - k L_{k-1}(z), differentiated for
-    the derivative pair; the four running values share one power-of-two
-    exponent against overflow.
-    """
-    if n < 0:
-        raise ConfigError("polynomial degree must be >= 0")
-    z = complex(z)
-    if n == 0:
-        return PolyEval(1.0 + 0j, 0.0 + 0j)
-    L0, L1 = 1.0 + 0j, 1.0 - z
-    D0, D1 = 0.0 + 0j, -1.0 + 0j
-    ex = 0
-    for k in range(1, n):
-        Lp = ((2 * k + 1 - z) * L1 - k * L0) / (k + 1)
-        Dp = ((2 * k + 1 - z) * D1 - L1 - k * D0) / (k + 1)
-        L0, L1, D0, D1 = L1, Lp, D1, Dp
-        m = max(abs(L0), abs(L1), abs(D0), abs(D1))
-        if m > _SCALE_LIMIT:
-            s = 2.0 ** -_SCALE_SHIFT
-            L0 *= s; L1 *= s; D0 *= s; D1 *= s
-            ex += _SCALE_SHIFT
-    return PolyEval(L1, D1, ex)
-
-
-def hermite(m: int, z: complex) -> PolyEval:
-    """Hermite polynomial and derivative, H'_m = 2 m H_{m-1}, rescaled."""
-    if m < 0:
-        raise ConfigError("polynomial degree must be >= 0")
-    z = complex(z)
-    if m == 0:
-        return PolyEval(1.0 + 0j, 0.0 + 0j)
-    H0, H1 = 1.0 + 0j, 2 * z
-    ex = 0
-    for k in range(1, m):
-        Hp = 2 * z * H1 - 2 * k * H0
-        H0, H1 = H1, Hp
-        mx = max(abs(H0), abs(H1))
-        if mx > _SCALE_LIMIT:
-            s = 2.0 ** -_SCALE_SHIFT
-            H0 *= s; H1 *= s
-            ex += _SCALE_SHIFT
-    return PolyEval(H1, 2 * m * H0, ex)
+#: A ratio raises NodeError at a node: when it is not finite or exceeds
+#: this modulus, or when its recurrence divides by zero (which also
+#: happens at an exact zero of a lower degree: z = 1 for Laguerre, z = 0
+#: for Hermite).
+_NODE_RATIO = 1e12
 
 
 def hermite_ratio(m: int, nu: complex) -> complex:
     """Scaled logarithmic Hermite ratio H'_m / (sqrt(m+1) H_m).
 
-    Evaluated at sqrt(m+1) sqrt(nu/2) (principal roots).  For even
+    Evaluated at z = sqrt(m+1) sqrt(nu/2) (principal roots).  With
+    q_k = H_k / H_{k-1}: q_1 = 2z, q_{k+1} = 2z - 2k / q_k, and
+    H'_m = 2m H_{m-1} makes the ratio 2m / (sqrt(m+1) q_m).  For even
     degrees the quantity divided by sqrt(nu/2) converges to
     1 - sqrt(1 - 4/nu), the planar drift-root limit.
     """
-    arg = np.sqrt(m + 1) * np.sqrt(complex(nu) / 2)
-    pe = hermite(m, arg)
-    if abs(pe.value) < 1e-300 * max(1.0, abs(pe.derivative)):
-        raise NodeError(f"Hermite value underflowed at degree {m}")
-    return pe.derivative / (np.sqrt(m + 1) * pe.value)
+    if m < 0:
+        raise ConfigError("polynomial degree must be >= 0")
+    if m == 0:
+        return 0j
+    r = math.sqrt(m + 1)
+    z = complex(r * np.sqrt(complex(nu) / 2))
+    try:
+        q = 2 * z
+        for k in range(1, m):
+            q = 2 * z - 2 * k / q
+        rho = 2 * m / (r * q)
+        if abs(rho) <= _NODE_RATIO:
+            return rho
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise NodeError(f"Hermite polynomial at a node (degree {m}, z = {z})")
 
 
 def laguerre_ratio(n_minus_1: int, z: complex) -> complex:
-    """L'_{n-1}(z) / L_{n-1}(z), guarded against nodes."""
-    pe = laguerre(n_minus_1, z)
-    if abs(pe.value) < 1e-12 * max(1.0, abs(pe.derivative)):
-        raise NodeError(
-            f"Laguerre value at a node (degree {n_minus_1}, z = {z})")
-    return pe.derivative / pe.value
+    """L'_n(z) / L_n(z) for n = n_minus_1, guarded against nodes.
+
+    z L'_n = n (L_n - L_{n-1}) makes the ratio -n s_n / q_n, with
+    q_k = L_k / L_{k-1} = 1 - z s_k, s_1 = 1 and
+    s_{k+1} = (1 + k s_k / q_k) / (k + 1): the three-term recurrence
+    divided by L_k.  Running on s_k = (1 - q_k) / z rather than on q_k
+    keeps z out of every denominator, so small |z| loses no digits and
+    z = 0 gives -n exactly.
+    """
+    n = n_minus_1
+    if n < 0:
+        raise ConfigError("polynomial degree must be >= 0")
+    if n == 0:
+        return 0j
+    z = complex(z)
+    try:
+        s = 1.0 + 0j
+        for k in range(1, n):
+            s = (1 + k * s / (1 - z * s)) / (k + 1)
+        rho = -n * s / (1 - z * s)
+        if abs(rho) <= _NODE_RATIO:
+            return rho
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise NodeError(f"Laguerre polynomial at a node (degree {n}, z = {z})")
 
 
 def complex_velocity_finite(p: PhysParams, n: int, pt):

@@ -41,8 +41,8 @@ from .fields import (drift, drift_components, ellipse_point, elliptic_uv,
                      in_jump_set, jump_interval, wave_gradients)
 from .measure import (cross_section_widths, log_invariant_density,
                       tangential_factor)
-from .params import (ConfigError, ConvergenceError, PhysParams,
-                     ResolutionError, SingularPointError)
+from .params import (ConfigError, ConvergenceError, InsufficientSamplesError,
+                     PhysParams, ResolutionError, SingularPointError)
 from .sde import TrajectoryEnsemble
 from .specfun import log_wave
 
@@ -145,6 +145,10 @@ class GridSpec:
         if len(box) != self.dim:
             raise ConfigError("box must give one (lo, hi) pair per axis")
         object.__setattr__(self, "box", box)
+        for axis, (lo, hi) in enumerate(box):
+            if not lo < hi:
+                raise ConfigError(
+                    f"box axis {axis} needs lo < hi, got ({lo}, {hi})")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
@@ -289,12 +293,16 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
                     weight_fn="model", check_resolution=True) -> GeneratorMatrix:
     """Assemble the upwind discrete generator on the active nodes.
 
-    drift_fn/weight_fn default to the model fields; pass callables (or
-    None for zero drift / uniform weight) to build control problems.
+    drift_fn defaults to the model drift; pass a callable (or None for
+    zero drift) to build control problems.  weight_fn is "model" (the
+    invariant density at the nodes) or None (uniform weight).
     Raises ResolutionError when the spacing cannot resolve the ridge and
     the model drift is in use, and when a jump rate is negative or not a
     number (a drift_fn that returns NaN).
     """
+    if weight_fn not in ("model", None):
+        raise ConfigError(
+            f"weight_fn must be 'model' or None, got {weight_fn!r}")
     h = grid.h
     if check_resolution and drift_fn == "model":
         wmin = min_effective_width(p)
@@ -344,13 +352,10 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
                         np.concatenate([nbr[has], np.arange(N)]))),
                       shape=(N, N))
 
-    if weight_fn == "model":
-        w = _model_weight(p, nodes, grid.dim)
-    elif weight_fn is None:
+    if weight_fn is None:
         w = np.full(N, 1.0 / N)
     else:
-        w = np.asarray(weight_fn(nodes), dtype=float)
-        w = w / w.sum()
+        w = _model_weight(p, nodes, grid.dim)
 
     return GeneratorMatrix(matrix=Q, weight=w, nodes=nodes, grid=grid,
                            params=p, interior=interior)
@@ -580,6 +585,8 @@ def gap_from_autocorrelation(ens: TrajectoryEnsemble, *, burn_in,
     autocovariance over the lag window (twelve time units lam^3/mu^2,
     at most 0.4 of the post-burn-in span) is fitted for its exponential
     decay rate; the error bar is a path bootstrap with a fixed seed.
+    Raises InsufficientSamplesError when fewer than three records lie
+    past burn_in, which leaves no lag window.
     """
     p = ens.config.params
     lag_window = min(12.0 * p.lam ** 3 / p.mu ** 2,
@@ -594,6 +601,10 @@ def gap_from_autocorrelation(ens: TrajectoryEnsemble, *, burn_in,
     dt = ens.record_dt
     n_lags = max(int(lag_window / dt), 8)
     n_lags = min(n_lags, obs.shape[1] - 2)
+    if n_lags < 1:
+        raise InsufficientSamplesError(
+            f"{obs.shape[1]} records from burn_in {burn_in} on leave no "
+            "autocovariance lag window (3 are needed)")
     if float(np.var(obs)) < 1e-300:
         raise ConvergenceError("constant observable; autocovariance is zero")
     ac = _acov_per_path(obs, n_lags)

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from kepdiff import (BranchPointWarning, ConfigError, NodeError, PhysParams,
                      SingularPointError, complex_velocity,
-                     complex_velocity_finite, drift_root, hermite,
-                     hermite_ratio, jump_interval, laguerre, laguerre_ratio,
-                     log_amplitude, log_wave, nodal_coordinate,
-                     wave_gradients)
+                     complex_velocity_finite, drift_root, hermite_ratio,
+                     jump_interval, laguerre_ratio, log_amplitude, log_wave,
+                     nodal_coordinate, wave_gradients)
 from kepdiff.fields import radius
 
 from conftest import (assert_bitwise_equal, near_jump_set_points,
@@ -19,11 +18,11 @@ from conftest import (assert_bitwise_equal, near_jump_set_points,
 
 
 # ---------------------------------------------------------------------------
-# polynomial recurrences and scaling
+# logarithmic ratios against the value recurrences
 # ---------------------------------------------------------------------------
 
 def _laguerre_direct(n, z):
-    """Unscaled recurrence, test oracle for the rescaling machinery."""
+    """Unscaled value recurrence, test oracle for laguerre_ratio."""
     L0, L1 = 1.0 + 0j, 1.0 - z
     D0, D1 = 0.0 + 0j, -1.0 + 0j
     if n == 0:
@@ -43,56 +42,78 @@ def _hermite_direct(m, z):
     return H1, 2 * m * H0
 
 
+def _hermite_arg(m, nu):
+    """The point at which hermite_ratio(m, nu) evaluates H_m."""
+    return complex(math.sqrt(m + 1) * np.sqrt(complex(nu) / 2))
+
+
 def test_laguerre_base_cases():
     for z in (0.3, 2.0 + 1.5j, -4.0):
-        assert laguerre(0, z).value == 1.0
-        assert laguerre(1, z).value == pytest.approx(1 - z)
-    assert laguerre(2, 1.0).value == pytest.approx(-0.5)
+        assert laguerre_ratio(0, z) == 0.0
+        assert laguerre_ratio(1, z) == pytest.approx(-1 / (1 - z))
+    assert laguerre_ratio(2, 3.0) == pytest.approx(-2.0)  # L_2 = -1/2
+    assert laguerre_ratio(20, 0.0) == -20.0  # L_n(0) = 1, L'_n(0) = -n
 
 
 def test_laguerre_negative_degree_raises():
     with pytest.raises(ConfigError):
-        laguerre(-1, 0.0)
+        laguerre_ratio(-1, 0.0)
 
 
-def test_laguerre_scaling_matches_direct():
-    # large negative argument: the recurrence crosses the 2**512 rescale
-    # threshold well before the direct values overflow
-    pe = laguerre(1000, -50.0 + 3.0j)
-    assert pe.exponent > 0
-    v, d = pe.value * 2.0 ** pe.exponent, pe.derivative * 2.0 ** pe.exponent
+def test_hermite_negative_degree_raises():
+    with pytest.raises(ConfigError):
+        hermite_ratio(-1, 8.0)
+
+
+@pytest.mark.parametrize("n,z,tol", [
+    (1000, -50.0 + 3.0j, 1e-12),   # values near 1e182, ratio near -4
+    (300, 40.0 - 25.0j, 1e-12),
+    # small |z|: the oracle itself keeps only 11-12 digits here, while a
+    # final division by z would lose 8.9e-9 (at 1e-6j) and 3e-4 (at 1e-10)
+    (200, 1e-6j, 1e-10),
+    (1000, 1e-10, 1e-10),
+], ids=["values_1e182", "complex", "small_z", "tiny_z"])
+def test_laguerre_ratio_matches_direct(n, z, tol):
+    v, d = _laguerre_direct(n, z)
     assert np.isfinite(abs(v)) and np.isfinite(abs(d))
-    v0, d0 = _laguerre_direct(1000, -50.0 + 3.0j)
-    assert abs(v - v0) / abs(v0) < 1e-12
-    assert abs(d - d0) / abs(d0) < 1e-12
+    assert abs(laguerre_ratio(n, z) - d / v) <= tol * abs(d / v)
 
 
 def test_hermite_base_cases():
-    for z in (0.7, 1.0 - 2.0j):
-        assert hermite(0, z).value == 1.0
-        assert hermite(1, z).value == pytest.approx(2 * z)
-    assert hermite(2, 1.0).value == pytest.approx(2.0)
+    for nu in (8.0, 0.7, 1.0 - 2.0j):
+        # H_1 = 2z at z = sqrt(2) sqrt(nu/2)
+        assert hermite_ratio(1, nu) == pytest.approx(
+            1 / (2 * cmath.sqrt(nu / 2)))
+    # H_2 = 4z^2 - 2 at z^2 = 12: 8z / (sqrt(3) 46)
+    assert hermite_ratio(2, 8.0) == pytest.approx(8 / 23)
 
 
-def test_hermite_scaling_matches_direct():
-    pe = hermite(100, 50.0)
-    assert pe.exponent > 0
-    v, d = pe.value * 2.0 ** pe.exponent, pe.derivative * 2.0 ** pe.exponent
-    v0, d0 = _hermite_direct(100, 50.0)
-    assert abs(v - v0) / abs(v0) < 1e-12
-    assert abs(d - d0) / abs(d0) < 1e-12
+@pytest.mark.parametrize("m,nu", [
+    (100, 5000 / 101),      # z = 50: H_100 near 1e200
+    (150, 3.0 + 1.0j),
+    (200, 0.5 - 2.0j),
+], ids=["z50", "complex", "complex_200"])
+def test_hermite_ratio_matches_direct(m, nu):
+    v, d = _hermite_direct(m, _hermite_arg(m, nu))
+    want = d / (math.sqrt(m + 1) * v)
+    assert abs(hermite_ratio(m, nu) - want) <= 1e-12 * abs(want)
 
 
 @settings(max_examples=50, deadline=None)
 @given(m=st.integers(1, 50),
-       re=st.floats(-3, 3), im=st.floats(-3, 3))
+       re=st.floats(0.1, 3), im=st.floats(-3, 3))
 def test_hermite_recurrence_identity(m, re, im):
+    # H_{m+1} = 2z H_m - H'_m in ratio form, with rho_k = H'_k / H_k:
+    # rho_{m+1} (2z - rho_m) = 2(m+1); Re z > 0 keeps the principal
+    # root of nu = 2z^2/(k+1) at z
     z = complex(re, im)
-    hm1 = hermite(m - 1, z).value
-    hm = hermite(m, z).value
-    hp = hermite(m + 1, z).value
-    assert abs(hp + 2 * m * hm1 - 2 * z * hm) <= 1e-9 * max(
-        1.0, abs(hp), abs(2 * z * hm))
+    rho = [math.sqrt(k + 1) * hermite_ratio(k, 2 * z * z / (k + 1))
+           for k in (m, m + 1)]
+    assert abs(rho[1] * (2 * z - rho[0]) - 2 * (m + 1)) <= 1e-9 * max(
+        2 * (m + 1), abs(rho[1]) * (2 * abs(z) + abs(rho[0])))
+    nu = 2 * z * z / (m + 1)
+    v, d = _hermite_direct(m, _hermite_arg(m, nu))
+    assert abs(rho[0] - d / v) <= 1e-9 * max(1.0, abs(d / v))
 
 
 # ---------------------------------------------------------------------------

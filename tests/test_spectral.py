@@ -1,19 +1,21 @@
 import ctypes
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from kepdiff import (ConfigError, ConvergenceError, GridSpec, PhysParams,
-                     ResolutionError, SimConfig, SpectralConfig,
-                     adjoint_residual, build_generator,
-                     dirichlet_form_residual, drift, ellipse_point,
-                     gap_from_autocorrelation, gap_from_matrix,
-                     hamiltonian_residual, log_wave, osmotic_radial_scan,
-                     simulate_ensemble, stationary_vector,
-                     sup_log_tangential_gradient, wave_gradients)
+from kepdiff import (ConfigError, ConvergenceError, GridSpec,
+                     InsufficientSamplesError, PhysParams, ResolutionError,
+                     SimConfig, SpectralConfig, adjoint_residual,
+                     build_generator, dirichlet_form_residual, drift,
+                     ellipse_point, gap_from_autocorrelation,
+                     gap_from_matrix, hamiltonian_residual, log_wave,
+                     osmotic_radial_scan, simulate_ensemble,
+                     stationary_vector, sup_log_tangential_gradient,
+                     wave_gradients)
 from kepdiff.spectral import _fit_decay, default_bump, production_grid_2d
 
 from conftest import assert_bitwise_equal, random_points
@@ -53,6 +55,10 @@ def test_grid_validation():
         GridSpec(dim=2, box=((0, 1), (0, 1)), n=10, excluded=-0.2)
     with pytest.raises(ConfigError):
         production_grid_2d(PhysParams(), n=120.5)
+    # zero width (spacing h = 0) and a reversed axis are refused by name
+    for box in (((0, 0), (0, 0)), ((1, 0),), ((0, 1), (0, float("nan")))):
+        with pytest.raises(ConfigError, match="box axis"):
+            GridSpec(dim=len(box), box=box, n=10)
 
 
 def test_resolution_precondition():
@@ -82,6 +88,14 @@ def test_zero_drift_symmetric_with_constant_kernel():
     Q = G.matrix
     assert (Q - Q.T).nnz == 0 or abs((Q - Q.T)).max() < 1e-14
     assert np.max(np.abs(Q @ np.ones(Q.shape[0]))) < 1e-12
+
+
+def test_weight_fn_other_than_model_or_none_refused():
+    with pytest.raises(ConfigError, match="weight_fn"):
+        build_generator(PhysParams(eps=0.2),
+                        GridSpec(dim=1, box=((0.0, 1.0),), n=50),
+                        drift_fn=None, weight_fn=lambda nodes: nodes[:, 0],
+                        check_resolution=False)
 
 
 def test_nan_drift_rejected():
@@ -465,6 +479,20 @@ def test_autocorr_constant_observable_rejected(autocorr_ensemble):
     with pytest.raises(ConvergenceError):
         gap_from_autocorrelation(ens, observable=lambda u, v, pos:
                                  np.ones_like(u), burn_in=20.0)
+
+
+@pytest.mark.parametrize("burn_in", [0.4, 0.5])
+def test_autocorr_burn_in_past_the_records_refused(burn_in):
+    # 400 steps recorded every 20 end at t = 0.4: at most one record
+    # from 0.4 on, none from 0.5; no lag window, so a typed error before
+    # any FFT and no empty-slice warning
+    cfg = SimConfig(params=PhysParams(ecc=0.5, eps=0.3), dt=1e-3,
+                    n_steps=400, n_paths=4, seed=0, record_stride=20)
+    ens = simulate_ensemble(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InsufficientSamplesError, match="lag window"):
+            gap_from_autocorrelation(ens, burn_in=burn_in)
 
 
 def test_autocorr_agrees_with_matrix(model_gen, autocorr_ensemble):
