@@ -17,10 +17,10 @@ import numpy as np
 from .fields import as_points, drift_root, nodal_coordinate, radius
 from .params import ConfigError, NodeError, PhysParams
 
-#: A ratio raises NodeError at a node: when it is not finite or exceeds
-#: this modulus, or when its recurrence divides by zero (which also
-#: happens at an exact zero of a lower degree: z = 1 for Laguerre, z = 0
-#: for Hermite).
+#: A ratio raises NodeError at a node: when the polynomial's value is
+#: exactly zero, or the ratio is not finite or exceeds this modulus.  An
+#: exact zero of a lower degree (z = 1 for L_1, z = 0 for H_1) is not a
+#: node: the recurrence steps over it by two degrees.
 _NODE_RATIO = 1e12
 
 
@@ -29,9 +29,11 @@ def hermite_ratio(m: int, nu: complex) -> complex:
 
     Evaluated at z = sqrt(m+1) sqrt(nu/2) (principal roots).  With
     q_k = H_k / H_{k-1}: q_1 = 2z, q_{k+1} = 2z - 2k / q_k, and
-    H'_m = 2m H_{m-1} makes the ratio 2m / (sqrt(m+1) q_m).  For even
-    degrees the quantity divided by sqrt(nu/2) converges to
-    1 - sqrt(1 - 4/nu), the planar drift-root limit.
+    H'_m = 2m H_{m-1} makes the ratio 2m / (sqrt(m+1) q_m).  An exact
+    zero H_k = 0 is stepped over: H_{k+2} = 2z H_{k+1}, so q_{k+2} = 2z,
+    and H'_m = 0 when k = m - 1.  For even degrees the quantity divided
+    by sqrt(nu/2) converges to 1 - sqrt(1 - 4/nu), the planar drift-root
+    limit.
     """
     if m < 0:
         raise ConfigError("polynomial degree must be >= 0")
@@ -40,10 +42,10 @@ def hermite_ratio(m: int, nu: complex) -> complex:
     r = math.sqrt(m + 1)
     z = complex(r * np.sqrt(complex(nu) / 2))
     try:
-        q = 2 * z
-        for k in range(1, m):
-            q = 2 * z - 2 * k / q
-        rho = 2 * m / (r * q)
+        q, k = 2 * z, 1
+        while k < m:
+            q, k = (2 * z - 2 * k / q, k + 1) if q else (2 * z, k + 2)
+        rho = 2 * m / (r * q) if k == m else 0j     # k > m: H_{m-1} = 0
         if abs(rho) <= _NODE_RATIO:
             return rho
     except (ZeroDivisionError, OverflowError):
@@ -59,7 +61,9 @@ def laguerre_ratio(n_minus_1: int, z: complex) -> complex:
     s_{k+1} = (1 + k s_k / q_k) / (k + 1): the three-term recurrence
     divided by L_k.  Running on s_k = (1 - q_k) / z rather than on q_k
     keeps z out of every denominator, so small |z| loses no digits and
-    z = 0 gives -n exactly.
+    z = 0 gives -n exactly.  An exact zero L_k = 0 (z != 0, as
+    L_k(0) = 1) is stepped over: (k+2) L_{k+2} = (2k+3-z) L_{k+1}, and
+    z L'_n = n L_n when k = n - 1.
     """
     n = n_minus_1
     if n < 0:
@@ -68,10 +72,12 @@ def laguerre_ratio(n_minus_1: int, z: complex) -> complex:
         return 0j
     z = complex(z)
     try:
-        s = 1.0 + 0j
-        for k in range(1, n):
-            s = (1 + k * s / (1 - z * s)) / (k + 1)
-        rho = -n * s / (1 - z * s)
+        s, k = 1.0 + 0j, 1
+        while k < n:
+            q = 1 - z * s
+            s, k = ((1 + k * s / q) / (k + 1), k + 1) if q else \
+                ((z - k - 1) / ((k + 2) * z), k + 2)
+        rho = -n * s / (1 - z * s) if k == n else n / z   # k > n: L_{n-1} = 0
         if abs(rho) <= _NODE_RATIO:
             return rho
     except (ZeroDivisionError, OverflowError):

@@ -51,8 +51,18 @@ def test_laguerre_base_cases():
     for z in (0.3, 2.0 + 1.5j, -4.0):
         assert laguerre_ratio(0, z) == 0.0
         assert laguerre_ratio(1, z) == pytest.approx(-1 / (1 - z))
+    assert laguerre_ratio(2, 1.0) == pytest.approx(2.0)  # L_2 = -1/2
     assert laguerre_ratio(2, 3.0) == pytest.approx(-2.0)  # L_2 = -1/2
     assert laguerre_ratio(20, 0.0) == -20.0  # L_n(0) = 1, L'_n(0) = -n
+
+
+def test_laguerre_steps_over_lower_degree_zero():
+    # L_1(1) = 0 is not a node of L_3: L_3(1) = -2/3, L'_3(1) = -1/2
+    assert laguerre_ratio(3, 1.0) == pytest.approx(0.75)
+    v, d = _laguerre_direct(12, 1.0)
+    assert laguerre_ratio(12, 1.0) == pytest.approx(d / v, rel=1e-12)
+    with pytest.raises(NodeError):
+        laguerre_ratio(1, 1.0)
 
 
 def test_laguerre_negative_degree_raises():
@@ -86,6 +96,15 @@ def test_hermite_base_cases():
             1 / (2 * cmath.sqrt(nu / 2)))
     # H_2 = 4z^2 - 2 at z^2 = 12: 8z / (sqrt(3) 46)
     assert hermite_ratio(2, 8.0) == pytest.approx(8 / 23)
+    assert hermite_ratio(2, 0.0) == 0  # H'_2(0) = 0, H_2(0) = -2
+
+
+@pytest.mark.parametrize("m", [2, 4, 10])
+def test_hermite_even_degree_at_zero(m):
+    # H_k(0) = 0 for every odd k < m is stepped over: H'_m(0) = 0
+    assert hermite_ratio(m, 0.0) == 0
+    with pytest.raises(NodeError):
+        hermite_ratio(m + 1, 0.0)
 
 
 @pytest.mark.parametrize("m,nu", [
