@@ -26,11 +26,11 @@ from .sde import (CONV_U_TOL, CONV_Z_TOL, RingStart, SimConfig,
                   simulate_ensemble, simulate_ensembles)
 from .spectral import (AutocorrGap, DirichletCheck, GapResult,
                        GeneratorMatrix, GridSpec, HamiltonianResidual,
-                       RadialScan, SpectralConfig, adjoint_residual,
-                       build_generator, dirichlet_form_residual,
-                       gap_from_autocorrelation, gap_from_matrix,
-                       hamiltonian_residual, osmotic_radial_scan,
-                       stationary_vector, sup_log_tangential_gradient)
+                       RadialScan, adjoint_residual, build_generator,
+                       dirichlet_form_residual, gap_from_autocorrelation,
+                       gap_from_matrix, hamiltonian_residual,
+                       osmotic_radial_scan, stationary_vector,
+                       sup_log_tangential_gradient)
 from .quadrature import adaptive_quad
 
 __version__ = "0.1.0"

@@ -312,9 +312,8 @@ def criterion_8():
                  " (h=a/100 value <5e-2, decreasing)")
 
     p_scan = PhysParams(ecc=0.5, eps=0.1)
-    cfg = spectral.SpectralConfig.from_measurement(p_scan)
-    radii = np.geomspace(0.1, 100.0, 25) * p_scan.a
-    scan = spectral.osmotic_radial_scan(cfg, radii)
+    scan = spectral.osmotic_radial_scan(p_scan,
+                                        spectral.SCAN_RADII * p_scan.a)
     asym = scan.eps_part_max[-1]
     target = -p_scan.mu / p_scan.lam
     half = -p_scan.mu / (2 * p_scan.lam)

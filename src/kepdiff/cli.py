@@ -340,26 +340,22 @@ def cmd_spectral(args):
     # document may serve both modes
     if args.scan:
         _refuse("--scan", args, "--gap", "--n", "--seed", "--no-autocorr")
-        sec = cfg.get("spectral", {})
-        if args.C is not None:
-            scfg = spectral.SpectralConfig(params=p, C=args.C)
-        elif "C" in sec:
-            scfg = spectral.SpectralConfig(params=p, C=float(sec["C"]))
-        else:
-            scfg = spectral.SpectralConfig.from_measurement(p)
+        C = args.C if args.C is not None else cfg.get("spectral", {}).get("C")
         if args.radii:
             radii = _parse_floats("--radii", args.radii, None)
         else:
-            radii = np.geomspace(0.1, 100.0, 25) * p.a
-        scan = spectral.osmotic_radial_scan(scfg, radii)
+            radii = spectral.SCAN_RADII * p.a
+        scan = spectral.osmotic_radial_scan(
+            p, radii, C=None if C is None else float(C))
         out_dir, prefix = _out_dir(cfg, args)
         path = os.path.join(out_dir, prefix + "radial_scan.csv")
-        write_csv(path, ["r", "max_Gu", "bound"], [scan.columns()],
-                  metadata={"params": p.as_dict(), "C": scfg.C,
-                            "C_tilde": scfg.C_tilde})
+        rows = (scan.radii, scan.max_gu, np.full(len(scan.radii), scan.bound))
+        write_csv(path, ["r", "max_Gu", "bound"], [rows],
+                  metadata={"params": p.as_dict(), "C": scan.C,
+                            "C_tilde": scan.C_tilde})
         print(json.dumps({"scan": path, "r1_hat": scan.r1_hat,
                           "sup_grad_log_T": scan.sup_grad_log_T,
-                          "C": scfg.C}, sort_keys=True))
+                          "C": scan.C}, sort_keys=True))
         return 0
     _refuse("--gap", args, "--radii", "--C")
     if args.no_autocorr:

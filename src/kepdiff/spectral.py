@@ -40,7 +40,7 @@ from scipy.sparse.csgraph import connected_components
 from .fields import (drift, drift_components, ellipse_point, elliptic_uv,
                      in_jump_set, jump_interval, wave_gradients)
 from .measure import (cross_section_widths, log_invariant_density,
-                      tangential_factor)
+                      tangential_log_slope)
 from .params import (ConfigError, ConvergenceError, InsufficientSamplesError,
                      PhysParams, ResolutionError, SingularPointError)
 from .sde import TrajectoryEnsemble
@@ -68,6 +68,8 @@ SUP_GRAD_R0 = 2.0
 SUP_GRAD_N_R = 12
 SUP_GRAD_N_ANGLES = 64
 SUP_GRAD_MARGIN = 0.1
+#: Default radii of the radial scan, in units of a.
+SCAN_RADII = np.geomspace(0.1, 100.0, 25)
 #: OpenBLAS thread-count accessors: numpy's ILP64 build suffixes its
 #: symbols with 64_, scipy's LP64 build does not.
 _OPENBLAS_THREAD_SYMBOLS = tuple(
@@ -201,8 +203,12 @@ def production_grid_2d(p: PhysParams, n=None) -> GridSpec:
 
 def min_effective_width(p: PhysParams) -> float:
     """The narrowest normal cross-section width of the ridge around the
-    ellipse, the length a model grid's spacing must resolve."""
-    sn, _ = cross_section_widths(p, np.linspace(0, 2 * np.pi, 721))
+    ellipse, the length a model grid's spacing must resolve.
+
+    sigma_n is smallest at the apsides v = 0 and v = pi, where it equals
+    (eps lam^{3/2}/mu) sqrt(1-e^2); it is evaluated at those two angles.
+    """
+    sn, _ = cross_section_widths(p, np.array([0.0, np.pi]))
     return float(np.min(sn))
 
 
@@ -576,28 +582,27 @@ def _fit_decay(C, dt):
     return -float(sol[1]), False
 
 
-def gap_from_autocorrelation(ens: TrajectoryEnsemble, *, burn_in,
-                             observable=None) -> AutocorrGap:
+def gap_from_autocorrelation(ens: TrajectoryEnsemble, *,
+                             burn_in) -> AutocorrGap:
     """Relaxation rate from stationary ensemble autocovariances.
 
-    observable maps (u, v, pos) -> per-sample values, default cos(v),
-    of the records from time burn_in on.  The ensemble-averaged
-    autocovariance over the lag window (twelve time units lam^3/mu^2,
-    at most 0.4 of the post-burn-in span) is fitted for its exponential
-    decay rate; the error bar is a path bootstrap with a fixed seed.
-    Raises InsufficientSamplesError when fewer than three records lie
-    past burn_in, which leaves no lag window.
+    The observable is cos(v) of the records from time burn_in on, on the
+    non-truncated paths.  The ensemble-averaged autocovariance over the
+    lag window (twelve time units lam^3/mu^2, at most 0.4 of the
+    post-burn-in span) is fitted for its exponential decay rate; the
+    error bar is a path bootstrap with a fixed seed.  Raises
+    InsufficientSamplesError when fewer than two paths, or fewer than
+    three records past burn_in (no lag window), are left.
     """
     p = ens.config.params
     lag_window = min(12.0 * p.lam ** 3 / p.mu ** 2,
                      0.4 * (ens.times[-1] - burn_in))
-    u, v, pos = ens.stationary_samples(burn_in)
-    if observable is None:
-        obs = np.cos(v)
-    else:
-        obs = np.asarray(observable(u, v, pos), dtype=float)
-    if obs.ndim != 2 or obs.shape[0] < 2:
-        raise ConfigError("need a 2d (paths x records) observable ensemble")
+    _, v, _ = ens.stationary_samples(burn_in)
+    obs = np.cos(v)
+    if obs.shape[0] < 2:
+        raise InsufficientSamplesError(
+            f"the autocovariance needs at least 2 non-truncated paths, "
+            f"got {obs.shape[0]}")
     dt = ens.record_dt
     n_lags = max(int(lag_window / dt), 8)
     n_lags = min(n_lags, obs.shape[1] - 2)
@@ -694,54 +699,32 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
 # radial scan of the osmotic generator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Constants of the radial drift estimate.
-
-    C bounds |grad ln T| outside the radius SUP_GRAD_R0 a; the derived
-    C_tilde = (mu - eps^2 lam C) / (eps^2 lam) must be positive, which
-    pins C < mu / (eps^2 lam).
-    """
-
-    params: PhysParams
-    C: float
-
-    def __post_init__(self):
-        p = self.params
-        if not 0 < self.C < p.mu / (p.eps ** 2 * p.lam):
-            raise ConfigError(
-                f"need 0 < C < mu/(eps^2 lam) = {p.mu / (p.eps ** 2 * p.lam):.4g}")
-
-    @property
-    def C_tilde(self):
-        p = self.params
-        return (p.mu - p.eps ** 2 * p.lam * self.C) / (p.eps ** 2 * p.lam)
-
-    @classmethod
-    def from_measurement(cls, p: PhysParams):
-        """Set C to the measured sup of |grad ln T| outside SUP_GRAD_R0 a
-        plus SUP_GRAD_MARGIN."""
-        sup = sup_log_tangential_gradient(p)
-        return cls(params=p, C=sup + SUP_GRAD_MARGIN)
-
-
-def _log_T_hat(p: PhysParams, x, y):
-    _, v = elliptic_uv(p, x, y)
-    return np.log(tangential_factor(p.ecc, v))
-
-
 def grad_log_tangential(p: PhysParams, pts):
-    """Central-difference gradient of ln T(v(x, y)); z-component is zero.
+    """Gradient of ln T(v(x, y)) in closed form; the z-component is zero.
 
-    The step is 1e-6 times the larger of a and the largest |x|.
+    With nu = (hypot(x, y) - x/e - i y sqrt(1-e^2)/e)/a as in
+    :func:`fields.elliptic_uv`, (2 - nu)/2 = cos(v - i xi) where
+    cosh xi = (1 + e u)/(e + u) and sinh xi = sqrt((1-u^2)(1-e^2))/(e + u).
+    Hence grad v = Re(grad nu / (2 sin(v - i xi))) and
+    grad ln T = (d ln T/dv) grad v.  Raises SingularPointError where u
+    rounds to 1: on the planar segment u = 1 (the z-axis included), where
+    sin(v - i xi) vanishes and ln T has a kink, and within about 1e-8 a
+    of it, where elliptic_uv's u rounds to 1.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    r = np.sqrt(np.sum(pts * pts, axis=1))
-    h = 1e-6 * max(p.a, float(np.max(r)))
-    gx = (_log_T_hat(p, pts[:, 0] + h, pts[:, 1])
-          - _log_T_hat(p, pts[:, 0] - h, pts[:, 1])) / (2 * h)
-    gy = (_log_T_hat(p, pts[:, 0], pts[:, 1] + h)
-          - _log_T_hat(p, pts[:, 0], pts[:, 1] - h)) / (2 * h)
+    x, y = pts[:, 0], pts[:, 1]
+    e, a = p.ecc, p.a
+    u, v = elliptic_uv(p, x, y)
+    if np.any(u >= 1):
+        raise SingularPointError(
+            "grad ln T where u rounds to 1 (the planar segment, where ln T "
+            "has a kink)")
+    rho = np.hypot(x, y)
+    sh = np.sqrt(1 - u * u) * p.axis_ratio
+    two_sin = 2 * (np.sin(v) * (1 + e * u) - 1j * np.cos(v) * sh) / (e + u)
+    slope = tangential_log_slope(e, v)
+    gx = slope * np.real((x / rho - 1 / e) / (a * two_sin))
+    gy = slope * np.real((y / rho - 1j * p.axis_ratio / e) / (a * two_sin))
     return np.stack([gx, gy, np.zeros_like(gx)], axis=1)
 
 
@@ -772,13 +755,11 @@ class RadialScan:
     bound: float                # -eps^2 C_tilde / 2
     r1_hat: float               # smallest radius past which max_gu <= bound
     sup_grad_log_T: float       # over scanned shells outside SUP_GRAD_R0 a
-
-    def columns(self):
-        """(r, max_Gu, bound) as equal-length columns for the scan CSV."""
-        return self.radii, self.max_gu, np.full(len(self.radii), self.bound)
+    C: float                    # bound on |grad ln T| outside SUP_GRAD_R0 a
+    C_tilde: float              # (mu - eps^2 lam C) / (eps^2 lam)
 
 
-def osmotic_radial_scan(cfg: SpectralConfig, radii) -> RadialScan:
+def osmotic_radial_scan(p: PhysParams, radii, C=None) -> RadialScan:
     """Scan G_u |x| = (eps^2/2|x|)(2 + 2 grad R . x + grad ln T . x).
 
     Evaluates the osmotic generator applied to the radius on a 48 x 48
@@ -787,13 +768,29 @@ def osmotic_radial_scan(cfg: SpectralConfig, radii) -> RadialScan:
     (eps^2/r)(1 + grad R . x), whose large-radius limit is -mu/lam; the
     smallest scanned radius past which the maximum stays below
     -eps^2 C_tilde/2; and the largest |grad ln T| met on spheres of
-    radius >= SUP_GRAD_R0 a.  The scan and its bound both use cfg.params.
+    radius >= SUP_GRAD_R0 a.
+
+    C bounds |grad ln T| outside SUP_GRAD_R0 a, and C_tilde =
+    (mu - eps^2 lam C)/(eps^2 lam) must be positive, so 0 < C <
+    mu/(eps^2 lam).  A given C outside that range raises ConfigError.
+    With C None it is measured, sup_log_tangential_gradient(p) +
+    SUP_GRAD_MARGIN; a measured C outside the range means the estimate
+    fails at these params and raises ConvergenceError.
     """
-    p = cfg.params
     radii = np.sort(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):
         raise ConfigError("radii must be positive")
     e2 = p.eps ** 2
+    c_max = p.mu / (e2 * p.lam)
+    if C is None:
+        C = sup_log_tangential_gradient(p) + SUP_GRAD_MARGIN
+        if not C < c_max:
+            raise ConvergenceError(
+                f"measured C = {C:.4g} is not below mu/(eps^2 lam) = "
+                f"{c_max:.4g}: the radial drift estimate fails here")
+    elif not 0 < C < c_max:
+        raise ConfigError(f"need 0 < C < mu/(eps^2 lam) = {c_max:.4g}")
+    C_tilde = (p.mu - e2 * p.lam * C) / (e2 * p.lam)
     max_gu = np.empty(len(radii))
     eps_part = np.empty(len(radii))
     sup_gT = 0.0
@@ -808,7 +805,7 @@ def osmotic_radial_scan(cfg: SpectralConfig, radii) -> RadialScan:
         gu = part + (e2 / (2 * r)) * np.sum(gT * pts, axis=1)
         max_gu[k] = float(np.max(gu))
         eps_part[k] = float(np.max(part))
-    bound = -e2 * cfg.C_tilde / 2
+    bound = -e2 * C_tilde / 2
     ok = max_gu <= bound
     r1_hat = math.inf
     for k in range(len(radii)):
@@ -816,7 +813,8 @@ def osmotic_radial_scan(cfg: SpectralConfig, radii) -> RadialScan:
             r1_hat = float(radii[k])
             break
     return RadialScan(radii=radii, max_gu=max_gu, eps_part_max=eps_part,
-                      bound=bound, r1_hat=r1_hat, sup_grad_log_T=sup_gT)
+                      bound=bound, r1_hat=r1_hat, sup_grad_log_T=sup_gT,
+                      C=C, C_tilde=C_tilde)
 
 
 # ---------------------------------------------------------------------------

@@ -212,8 +212,32 @@ def test_spectral_scan_csv(capsys, tmp_path):
     doc = json.loads(out)
     assert math.isfinite(doc["r1_hat"])
     lines = (tmp_path / "radial_scan.csv").read_text().splitlines()
+    meta = json.loads(lines[0].removeprefix("# config: "))
+    assert meta["C"] == doc["C"]
     assert lines[1] == "r,max_Gu,bound"
-    assert len(lines) == 2 + 4
+    # one row per radius, each (r, max_Gu, bound), bound = -eps^2 C_tilde/2
+    rows = [list(map(float, line.split(","))) for line in lines[2:]]
+    assert [r for r, _, _ in rows] == [1.0, 5.0, 20.0, 100.0]
+    bound = -meta["params"]["eps"] ** 2 * meta["C_tilde"] / 2
+    assert [b for _, _, b in rows] == [bound] * 4
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # a given C out of range is the user's input: a config error
+    (("--C", "-1"), 2, "config error: need 0 < C < mu/(eps^2 lam) = 11.11"),
+    # a measured one means the estimate fails at these params
+    ((), 3, "domain error: measured C = 16.51 "),
+])
+def test_spectral_scan_C_out_of_range(capsys, tmp_path, argv, code, message):
+    out = tmp_path / "out"
+    got, stdout, err = run(capsys, "spectral", "--scan", "--ecc", "0.9",
+                           "--eps", "0.3", *argv, "--out-dir", str(out))
+    assert got == code
+    assert err.startswith(message)
+    if code == 3:
+        assert "mu/(eps^2 lam) = 11.11" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_verify_quick(capsys):

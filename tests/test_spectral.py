@@ -9,14 +9,18 @@ import scipy.sparse.linalg as spla
 
 from kepdiff import (ConfigError, ConvergenceError, GridSpec,
                      InsufficientSamplesError, PhysParams, ResolutionError,
-                     SimConfig, SpectralConfig, adjoint_residual,
-                     build_generator, dirichlet_form_residual, drift,
-                     ellipse_point, gap_from_autocorrelation,
-                     gap_from_matrix, hamiltonian_residual, log_wave,
-                     osmotic_radial_scan, simulate_ensemble,
-                     stationary_vector, sup_log_tangential_gradient,
+                     SimConfig, SingularPointError, adjoint_residual,
+                     build_generator, cross_section_widths,
+                     dirichlet_form_residual, drift, ellipse_point,
+                     gap_from_autocorrelation, gap_from_matrix,
+                     hamiltonian_residual, log_wave, osmotic_radial_scan,
+                     simulate_ensemble, stationary_vector,
+                     sup_log_tangential_gradient, tangential_factor,
                      wave_gradients)
-from kepdiff.spectral import _fit_decay, default_bump, production_grid_2d
+from kepdiff import spectral
+from kepdiff.fields import elliptic_uv
+from kepdiff.spectral import (_fit_decay, default_bump, grad_log_tangential,
+                              min_effective_width, production_grid_2d)
 
 from conftest import assert_bitwise_equal, random_points
 
@@ -70,6 +74,18 @@ def test_resolution_precondition():
         build_generator(p, production_grid_2d(p, n=184))
     assert build_generator(p, production_grid_2d(p, n=185)).n_nodes == 34_208
     assert production_grid_2d(p).n == 370
+
+
+@pytest.mark.parametrize("ecc", [0.05, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("eps", [0.02, 0.1, 0.7])
+def test_min_effective_width_at_the_apsides(ecc, eps):
+    # the two apsides give the minimum of 721 angles around the ellipse
+    # bit for bit, and the closed form (eps lam^1.5/mu) sqrt(1-e^2)
+    p = PhysParams(ecc=ecc, eps=eps)
+    sn, _ = cross_section_widths(p, np.linspace(0, 2 * np.pi, 721))
+    assert min_effective_width(p) == float(np.min(sn))
+    assert min_effective_width(p) == pytest.approx(
+        eps * p.lam ** 1.5 / p.mu * math.sqrt(1 - ecc ** 2), rel=1e-14)
 
 
 def test_markov_sign_structure(model_gen):
@@ -475,10 +491,19 @@ def test_fit_decay_rejects_flat():
 
 
 def test_autocorr_constant_observable_rejected(autocorr_ensemble):
+    # cos(v) is constant when v is: the zero-variance guard refuses it
     _, ens = autocorr_ensemble
-    with pytest.raises(ConvergenceError):
-        gap_from_autocorrelation(ens, observable=lambda u, v, pos:
-                                 np.ones_like(u), burn_in=20.0)
+    flat = dataclasses.replace(ens, v=np.zeros_like(ens.v))
+    with pytest.raises(ConvergenceError, match="constant observable"):
+        gap_from_autocorrelation(flat, burn_in=20.0)
+
+
+def test_autocorr_one_path_refused():
+    # the bootstrap resamples paths, so one path is too few
+    cfg = SimConfig(params=PhysParams(ecc=0.5, eps=0.3), dt=1e-3,
+                    n_steps=400, n_paths=1, seed=0, record_stride=20)
+    with pytest.raises(InsufficientSamplesError, match="got 1"):
+        gap_from_autocorrelation(simulate_ensemble(cfg), burn_in=0.0)
 
 
 @pytest.mark.parametrize("burn_in", [0.4, 0.5])
@@ -510,22 +535,89 @@ def test_autocorr_agrees_with_matrix(model_gen, autocorr_ensemble):
 # radial scan
 # ---------------------------------------------------------------------------
 
-def test_spectral_config_bounds():
+def _log_T(p, x, y):
+    return np.log(tangential_factor(p.ecc, elliptic_uv(p, x, y)[1]))
+
+
+@pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
+def test_grad_log_tangential_matches_richardson_differences(ecc):
+    # an independent oracle: Richardson-extrapolated central differences
+    # of ln T(v(x, y)), at points well away from the segment u = 1
+    p = PhysParams(ecc=ecc, eps=0.1)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-3 * p.a, 3 * p.a, size=(40, 3))
+    pts = pts[np.abs(pts[:, 1]) > 0.3 * p.a]
+    g = grad_log_tangential(p, pts)
+    h = 1e-3 * p.a
+    x, y = pts[:, 0], pts[:, 1]
+
+    def central(step):
+        return np.stack([
+            (_log_T(p, x + step, y) - _log_T(p, x - step, y)) / (2 * step),
+            (_log_T(p, x, y + step) - _log_T(p, x, y - step)) / (2 * step)],
+            axis=1)
+
+    oracle = (4 * central(h / 2) - central(h)) / 3
+    scale = np.linalg.norm(oracle, axis=1, keepdims=True)
+    assert np.all(g[:, 2] == 0.0)
+    assert np.max(np.abs(g[:, :2] - oracle) / scale) < 1e-6
+
+
+def test_grad_log_tangential_batch_independent():
+    # a point's gradient does not depend on the points passed with it
+    p = PhysParams(ecc=0.9, eps=0.1)
+    pt = np.array([[-0.05 * p.a, 0.01 * p.a, 0.3 * p.a]])
+    alone = grad_log_tangential(p, pt)[0]
+    beside = grad_log_tangential(p, np.vstack([pt, [[100 * p.a, 1.0, 0.0]]]))
+    np.testing.assert_allclose(beside[0], alone, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("xy", [(0.0, 0.0), (-0.3, 0.0), (-1.2, 0.0)])
+def test_grad_log_tangential_refuses_the_segment(xy):
+    # u = 1 on y = 0, -4ae/(1+e) <= x <= 0 (1.333a at e = 0.5), at any z:
+    # ln T has a kink there, so no inf or NaN, and no warning
     p = PhysParams(ecc=0.5, eps=0.1)
-    with pytest.raises(ConfigError):
-        SpectralConfig(params=p, C=0.0)
-    with pytest.raises(ConfigError):
-        SpectralConfig(params=p, C=p.mu / (p.eps ** 2 * p.lam) + 1)
-    cfg = SpectralConfig(params=p, C=2.0)
-    assert cfg.C_tilde == pytest.approx((p.mu - p.eps ** 2 * p.lam * 2.0)
-                                        / (p.eps ** 2 * p.lam))
+    pt = [[xy[0] * p.a, xy[1] * p.a, 0.7], [1.0, 1.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularPointError, match="segment"):
+            grad_log_tangential(p, pt)
+
+
+def test_radial_scan_C_bounds(p):
+    c_max = p.mu / (p.eps ** 2 * p.lam)
+    for C in (0.0, -1.0, c_max, c_max + 1):
+        with pytest.raises(ConfigError, match="need 0 < C"):
+            osmotic_radial_scan(p, [1.0, 10.0], C=C)
+    scan = osmotic_radial_scan(p, [1.0, 10.0], C=2.0)
+    assert scan.C == 2.0
+    assert scan.C_tilde == pytest.approx((p.mu - p.eps ** 2 * p.lam * 2.0)
+                                         / (p.eps ** 2 * p.lam))
+    assert scan.bound == -p.eps ** 2 * scan.C_tilde / 2
+
+
+def test_radial_scan_measured_C_out_of_range():
+    # at e = 0.9 the measured C (16.51) exceeds mu/(eps^2 lam) = 11.11 at
+    # eps = 0.3: the estimate fails, a domain error naming both numbers
+    p = PhysParams(ecc=0.9, eps=0.3)
+    with pytest.raises(ConvergenceError,
+                       match=r"measured C = 16\.51 .* = 11\.11"):
+        osmotic_radial_scan(p, [1.0, 10.0])
+
+
+def test_radial_scan_checks_radii_before_measuring(p, monkeypatch):
+    def unreachable(p):
+        raise AssertionError("C measured before the radii were checked")
+
+    monkeypatch.setattr(spectral, "sup_log_tangential_gradient", unreachable)
+    with pytest.raises(ConfigError, match="radii"):
+        osmotic_radial_scan(p, [1.0, -2.0])
 
 
 def test_radial_scan_far_field(p):
-    cfg = SpectralConfig.from_measurement(p)
-    assert cfg.C > sup_log_tangential_gradient(p)
     radii = np.geomspace(0.1, 100.0, 20) * p.a
-    scan = osmotic_radial_scan(cfg, radii)
+    scan = osmotic_radial_scan(p, radii)
+    assert scan.C == sup_log_tangential_gradient(p) + spectral.SUP_GRAD_MARGIN
     assert math.isfinite(scan.r1_hat)
     assert scan.eps_part_max[-1] == pytest.approx(-p.mu / p.lam, rel=0.05)
     assert scan.max_gu[-1] <= scan.bound
@@ -537,21 +629,11 @@ def test_radial_scan_far_field(p):
 def test_radial_scan_without_tangential_term(p):
     # eps_part_max is G_u |x| without the tangential term: the same
     # far-field asymptote, and the term is an O(eps^2 C) dent past 2a
-    cfg = SpectralConfig.from_measurement(p)
     radii = np.geomspace(1.0, 100.0, 10) * p.a
-    scan = osmotic_radial_scan(cfg, radii)
+    scan = osmotic_radial_scan(p, radii)
     assert abs(scan.eps_part_max[-1] - scan.max_gu[-1]) \
-        <= 0.5 * p.eps ** 2 * cfg.C + 1e-12
+        <= 0.5 * p.eps ** 2 * scan.C + 1e-12
     assert scan.eps_part_max[-1] == pytest.approx(-p.mu / p.lam, rel=0.1)
-
-
-def test_scan_rows_format(p):
-    cfg = SpectralConfig(params=p, C=2.0)
-    scan = osmotic_radial_scan(cfg, [1.0, 10.0])
-    # the scan CSV's rows are (r, max_Gu, bound), written as columns
-    r, gu, bound = scan.columns()
-    assert r.tolist() == [1.0, 10.0] and gu is scan.max_gu
-    assert bound.tolist() == [scan.bound] * 2
 
 
 # ---------------------------------------------------------------------------
