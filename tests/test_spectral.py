@@ -596,6 +596,16 @@ def test_radial_scan_C_bounds(p):
     assert scan.bound == -p.eps ** 2 * scan.C_tilde / 2
 
 
+def test_scan_rows_format(p):
+    scan = osmotic_radial_scan(p, [1.0, 10.0], C=2.0)
+    # the scan CSV's rows are (r, max_Gu, bound): one radius and one
+    # maximum per row, the same bound on each
+    assert scan.radii.tolist() == [1.0, 10.0]
+    assert scan.max_gu.shape == scan.radii.shape
+    assert np.all(np.isfinite(scan.max_gu))
+    assert math.isfinite(scan.bound)
+
+
 def test_radial_scan_measured_C_out_of_range():
     # at e = 0.9 the measured C (16.51) exceeds mu/(eps^2 lam) = 11.11 at
     # eps = 0.3: the estimate fails, a domain error naming both numbers
