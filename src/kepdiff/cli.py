@@ -76,7 +76,11 @@ _KEYS = {
 def load_config(path):
     """The config document, checked: known sections and keys only, each
     value of its key's type.  A null value counts as not given."""
-    cfg = read_json(path)
+    try:
+        cfg = read_json(path)
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        raise ConfigError(f"config {path} is not readable JSON: {exc}") \
+            from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(cfg) - _SECTIONS
@@ -341,7 +345,7 @@ def cmd_spectral(args):
     if args.scan:
         _refuse("--scan", args, "--gap", "--n", "--seed", "--no-autocorr")
         C = args.C if args.C is not None else cfg.get("spectral", {}).get("C")
-        if args.radii:
+        if args.radii is not None:
             radii = _parse_floats("--radii", args.radii, None)
         else:
             radii = spectral.SCAN_RADII * p.a
@@ -353,7 +357,9 @@ def cmd_spectral(args):
         write_csv(path, ["r", "max_Gu", "bound"], [rows],
                   metadata={"params": p.as_dict(), "C": scan.C,
                             "C_tilde": scan.C_tilde})
-        print(json.dumps({"scan": path, "r1_hat": scan.r1_hat,
+        # no radius past which the bound holds: null, not Infinity
+        r1 = scan.r1_hat if math.isfinite(scan.r1_hat) else None
+        print(json.dumps({"scan": path, "r1_hat": r1,
                           "sup_grad_log_T": scan.sup_grad_log_T,
                           "C": scan.C}, sort_keys=True))
         return 0

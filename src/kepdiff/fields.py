@@ -345,28 +345,30 @@ def from_elliptic(p: PhysParams, coords):
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def elliptic_uv(p: PhysParams, x, y):
-    """(u, v) at Cartesian coordinate arrays x, y; unchecked, vectorised.
+def eccentric_angle(p: PhysParams, x, y):
+    """Complex eccentric angle w = v - i xi at coordinate arrays x, y.
 
-    u in closed form: the nodal coordinate taken with the planar radius,
-    nu = (hypot(x, y) - x/e - i y sqrt(1-e^2)/e)/a, maps the u-ellipse
-    onto the ellipse with foci 0 and 4 (the ends of the jump segment)
-    and semimajor axis A = (|nu| + |nu - 4|)/2 >= 2, and
-    u = (2 - A e)/(A - 2e).  v follows from the two coordinate equations
-    x = s (cos v - u), y = s sqrt(1-u^2) sin v with s = 2 a e/(e + u),
-    and is 0 where 1 - u^2 vanishes.  The planar origin maps to (1, 0).
+    w = arccos(1 - nu/2), or 2 pi minus it where y < 0, for the planar
+    nodal coordinate nu = (hypot(x, y) - x/e - i y sqrt(1-e^2)/e)/a.
+    xi >= 0 labels the u-ellipse, cosh xi = (1 + e u)/(e + u); the segment
+    u = 1 is xi = 0, with ends w = 0 (nu = 0) and w = pi (nu = 4).
     """
     e, a = p.ecc, p.a
     nu = (np.hypot(x, y) - x / e - 1j * y * np.sqrt(1 - e * e) / e) / a
-    A = 0.5 * (np.abs(nu) + np.abs(nu - 4))
-    u = (2 - A * e) / (A - 2 * e)
-    s = 2 * a * e / (e + u)
-    cv = x / s + u
-    one_m_u2 = np.maximum(1 - u * u, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sv = np.where(one_m_u2 > 1e-28, y / (s * np.sqrt(np.where(
-            one_m_u2 > 1e-28, one_m_u2, 1.0))), 0.0)
-    return u, np.mod(np.arctan2(sv, cv), 2 * np.pi)
+    w = np.arccos(1 - nu / 2)
+    return np.where(y < 0, 2 * np.pi - w, w)
+
+
+def elliptic_uv(p: PhysParams, x, y):
+    """(u, v) at Cartesian coordinate arrays x, y; unchecked, vectorised.
+
+    v = Re w and u = (1 - e cosh xi)/(cosh xi - e) for the complex angle
+    w = v - i xi of :func:`eccentric_angle`.  The planar origin maps to
+    (1, 0).
+    """
+    w = eccentric_angle(p, x, y)
+    ch = np.cosh(w.imag)
+    return (1 - p.ecc * ch) / (ch - p.ecc), w.real
 
 
 def to_elliptic(p: PhysParams, pt):
@@ -374,8 +376,8 @@ def to_elliptic(p: PhysParams, pt):
 
     Rejects the planar origin, where v is undefined, then evaluates
     :func:`elliptic_uv`.  Round-trips with :func:`from_elliptic` to
-    1e-10 away from the degeneracies ((x, y) = 0 and the u = 1 segment,
-    where a rounding error du in u moves v by about du/(1 - u^2)).
+    1e-10 max(a, hypot(x, y)) while u <= 1 - 1e-6; nearer the segment
+    u = 1, a float u holds sqrt(1 - u^2), and so y, less well.
     """
     pt = as_points(pt)
     x, y, z = pt[..., 0], pt[..., 1], pt[..., 2]

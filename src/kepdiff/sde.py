@@ -601,6 +601,7 @@ def kepler_diagnostics(ens: TrajectoryEnsemble) -> dict:
     frac_t = ens.converged_mask().mean(axis=0)
     half = ens.times >= 0.5 * ens.times[-1]
     av = areal_velocity(ens)[:, half[1:]]
+    z = ens.pos[~ens.truncated][:, half][..., 2]
     return {
         "n_paths": int(ens.n_paths),
         "t_final": float(ens.times[-1]),
@@ -610,8 +611,8 @@ def kepler_diagnostics(ens: TrajectoryEnsemble) -> dict:
         "areal_velocity_mean": float(np.mean(av)),
         "areal_velocity_rel_spread": float(np.std(np.mean(av, axis=1))
                                            / max(abs(np.mean(av)), 1e-300)),
-        "mean_abs_z_final": float(np.mean(np.abs(
-            ens.pos[~ens.truncated][:, half][..., 2]))),
+        # null when every path is truncated
+        "mean_abs_z_final": float(np.mean(np.abs(z))) if z.size else None,
         "truncated_paths": int(np.sum(ens.truncated)),
         "interior_starts": int(np.sum(ens.u[:, 0] > ens.config.params.ecc)),
         "cap_rejections": int(np.sum(ens.cap_rejections)),

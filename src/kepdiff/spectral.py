@@ -37,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .fields import (drift, drift_components, ellipse_point, elliptic_uv,
+from .fields import (drift, drift_components, eccentric_angle, ellipse_point,
                      in_jump_set, jump_interval, wave_gradients)
 from .measure import (cross_section_widths, log_invariant_density,
                       tangential_log_slope)
@@ -59,8 +59,8 @@ ARPACK_TOL = 1e-10
 EIGEN_RESID_TOL = 1e-8
 #: Path-bootstrap resamples behind the autocovariance gap's interval.
 AUTOCORR_N_BOOT = 200
-#: Radius, in units of a, outside which C bounds |grad ln T|: the inner
-#: shell of the sup mesh and of the radial scan's sup.
+#: Radius, in units of a, of the inner shell of the mesh that measures C
+#: and of the radial scan's sup of |grad ln T|.
 SUP_GRAD_R0 = 2.0
 #: Shells (log-spaced from SUP_GRAD_R0 a to 50a) and angles per axis of
 #: the mesh that measures sup |grad ln T|, and the margin C adds on top
@@ -702,29 +702,24 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
 def grad_log_tangential(p: PhysParams, pts):
     """Gradient of ln T(v(x, y)) in closed form; the z-component is zero.
 
-    With nu = (hypot(x, y) - x/e - i y sqrt(1-e^2)/e)/a as in
-    :func:`fields.elliptic_uv`, (2 - nu)/2 = cos(v - i xi) where
-    cosh xi = (1 + e u)/(e + u) and sinh xi = sqrt((1-u^2)(1-e^2))/(e + u).
-    Hence grad v = Re(grad nu / (2 sin(v - i xi))) and
-    grad ln T = (d ln T/dv) grad v.  Raises SingularPointError where u
-    rounds to 1: on the planar segment u = 1 (the z-axis included), where
-    sin(v - i xi) vanishes and ln T has a kink, and within about 1e-8 a
-    of it, where elliptic_uv's u rounds to 1.
+    cos w = 1 - nu/2 for w = :func:`fields.eccentric_angle`, so
+    grad v = Re(grad nu / (2 sin w)) and grad ln T = (d ln T/dv) grad v.
+    As T(2 pi - v) = T(v), ln T is smooth across the planar segment u = 1;
+    raises SingularPointError at its ends w = 0 (the z-axis) and w = pi
+    (the line through the second focus), where sin w vanishes.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     x, y = pts[:, 0], pts[:, 1]
-    e, a = p.ecc, p.a
-    u, v = elliptic_uv(p, x, y)
-    if np.any(u >= 1):
+    w = eccentric_angle(p, x, y)
+    if np.any((w == 0) | (w == np.pi)):
         raise SingularPointError(
-            "grad ln T where u rounds to 1 (the planar segment, where ln T "
-            "has a kink)")
+            "grad ln T at an end of the planar segment u = 1 (the z-axis "
+            "or the line through the second focus)")
     rho = np.hypot(x, y)
-    sh = np.sqrt(1 - u * u) * p.axis_ratio
-    two_sin = 2 * (np.sin(v) * (1 + e * u) - 1j * np.cos(v) * sh) / (e + u)
-    slope = tangential_log_slope(e, v)
-    gx = slope * np.real((x / rho - 1 / e) / (a * two_sin))
-    gy = slope * np.real((y / rho - 1j * p.axis_ratio / e) / (a * two_sin))
+    two_a_sin = 2 * p.a * np.sin(w)
+    slope = tangential_log_slope(p.ecc, w.real)
+    gx = slope * np.real((x / rho - 1 / p.ecc) / two_a_sin)
+    gy = slope * np.real((y / rho - 1j * p.axis_ratio / p.ecc) / two_a_sin)
     return np.stack([gx, gy, np.zeros_like(gx)], axis=1)
 
 
@@ -755,7 +750,7 @@ class RadialScan:
     bound: float                # -eps^2 C_tilde / 2
     r1_hat: float               # smallest radius past which max_gu <= bound
     sup_grad_log_T: float       # over scanned shells outside SUP_GRAD_R0 a
-    C: float                    # bound on |grad ln T| outside SUP_GRAD_R0 a
+    C: float                    # given, or measured by the sup mesh
     C_tilde: float              # (mu - eps^2 lam C) / (eps^2 lam)
 
 
@@ -770,12 +765,14 @@ def osmotic_radial_scan(p: PhysParams, radii, C=None) -> RadialScan:
     -eps^2 C_tilde/2; and the largest |grad ln T| met on spheres of
     radius >= SUP_GRAD_R0 a.
 
-    C bounds |grad ln T| outside SUP_GRAD_R0 a, and C_tilde =
+    C stands in for sup |grad ln T|, and C_tilde =
     (mu - eps^2 lam C)/(eps^2 lam) must be positive, so 0 < C <
     mu/(eps^2 lam).  A given C outside that range raises ConfigError.
     With C None it is measured, sup_log_tangential_gradient(p) +
-    SUP_GRAD_MARGIN; a measured C outside the range means the estimate
-    fails at these params and raises ConvergenceError.
+    SUP_GRAD_MARGIN: the largest |grad ln T| on a 64 x 64 mesh of 12
+    spheres from SUP_GRAD_R0 a to 50a, plus 0.1.  A measured C outside
+    the range means the estimate fails at these params and raises
+    ConvergenceError.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if np.any(radii <= 0):

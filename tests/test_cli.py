@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,7 @@ def test_verify_quick(capsys):
     ("measure", "--widths", "--seed", "0"),
     ("simulate", "--seed", "1", "--n-steps", "10", "--n-paths", "2",
      "--n-periods", "0"),
+    ("spectral", "--scan", "--radii", ""),
 ])
 def test_malformed_input_exit_code(capsys, tmp_path, monkeypatch, argv):
     # a dict stands for a config document, passed as its file's path; a
@@ -358,6 +360,53 @@ def test_refused_command_leaves_no_out_dir(capsys, tmp_path, argv):
     assert code == 2
     assert "config error" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, code, message", [
+    (b'{"params": {"ecc": 0.5,}}', 2, "config error"),   # a trailing comma
+    (b'{"output": {"prefix": "\xff"}}', 2, "config error"),   # not UTF-8
+    (None, 4, "i/o error"),                                  # no such file
+], ids=["trailing_comma", "not_utf8", "missing"])
+def test_unreadable_config_exit_code(capsys, tmp_path, content, code,
+                                     message):
+    cfg = tmp_path / "config.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "out"
+    got, stdout, err = run(capsys, "simulate", "--seed", "1", "--config",
+                           str(cfg), "--out-dir", str(out))
+    assert got == code
+    assert err.startswith(message) and str(cfg) in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def _strict_json(text):
+    """The JSON document in text, refusing NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_outputs_are_strict_json(capsys, tmp_path):
+    # no radius past which the bound holds: r1_hat is null
+    code, out, _ = run(capsys, "spectral", "--scan", "--radii", "0.1,0.2",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    assert _strict_json(out)["r1_hat"] is None
+    # every path truncated: no final |z| to average, and no warning
+    cfg = tmp_path / "config.json"
+    write_json(cfg, {"sim": {"x0": [0, 0, 0]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "simulate", "--seed", "1", "--n-steps",
+                           "20", "--n-paths", "2", "--config", str(cfg),
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    diag = _strict_json((tmp_path / "diagnostics.json").read_text())
+    assert diag["truncated_paths"] == 2
+    assert diag["mean_abs_z_final"] is None
+    _strict_json(out)
 
 
 def test_removed_dim_flag_rejected(capsys):

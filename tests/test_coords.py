@@ -128,6 +128,20 @@ def test_closed_form_u_at_planar_origin(p):
     assert (u[0], v[0]) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
+def test_v_beside_the_segment(ecc):
+    # on u = 1, from_elliptic reads x = 2 a e (cos v - 1)/(1 + e) and
+    # y = 0: v is known from x alone, and 2 pi - v on the side y < 0
+    pp = PhysParams(ecc=ecc)
+    ends = _second_focus_x(pp, 1.0)
+    x = np.repeat(np.array([0.1, 0.5, 0.9]) * ends, 5)
+    y = np.tile([-1e-10, -1e-14, 0.0, 1e-14, 1e-10], 3) * pp.a
+    v0 = np.arccos(1 + x * (1 + ecc) / (2 * pp.a * ecc))
+    _, v = elliptic_uv(pp, x, y)
+    np.testing.assert_allclose(v, np.where(y < 0, 2 * np.pi - v0, v0),
+                               rtol=0, atol=1e-9)
+
+
 def test_u_out_of_range_raises(p):
     with pytest.raises(SingularPointError):
         from_elliptic(p, (-0.6, 0.0, 0.0))

@@ -16,7 +16,7 @@ from kepdiff import (ConfigError, ConvergenceError, GridSpec,
                      hamiltonian_residual, log_wave, osmotic_radial_scan,
                      simulate_ensemble, stationary_vector,
                      sup_log_tangential_gradient, tangential_factor,
-                     wave_gradients)
+                     tangential_log_slope, wave_gradients)
 from kepdiff import spectral
 from kepdiff.fields import elliptic_uv
 from kepdiff.spectral import (_fit_decay, default_bump, grad_log_tangential,
@@ -572,11 +572,33 @@ def test_grad_log_tangential_batch_independent():
     np.testing.assert_allclose(beside[0], alone, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("xy", [(0.0, 0.0), (-0.3, 0.0), (-1.2, 0.0)])
+@pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
+def test_grad_log_tangential_across_the_segment(ecc):
+    # ln T is smooth across the interior of the segment u = 1 (y = 0,
+    # -4ae/(1+e) < x < 0) since T(2 pi - v) = T(v): on it and beside it
+    # the gradient is the chain-rule limit (T'/T (v0) dv0/dx, 0) with
+    # cos v0 = 1 + x (1+e)/(2ae)
+    p = PhysParams(ecc=ecc, eps=0.1)
+    x = np.repeat(np.array([-0.1, -0.5, -0.9]) * 4 * p.a * ecc / (1 + ecc),
+                  5)
+    y = np.tile([-1e-9, -1e-12, 0.0, 1e-12, 1e-9], 3) * p.a
+    v0 = np.arccos(1 + x * (1 + ecc) / (2 * p.a * ecc))
+    gx = tangential_log_slope(ecc, v0) * -(1 + ecc) \
+        / (2 * p.a * ecc * np.sin(v0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        g = grad_log_tangential(p, np.stack([x, y, np.full_like(x, 0.4)],
+                                            axis=1))
+    np.testing.assert_allclose(g[:, 0], gx, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(g[:, 1:], 0.0, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("xy", [(0.0, 0.0), (-1.5, 0.0)])
 def test_grad_log_tangential_refuses_the_segment(xy):
-    # u = 1 on y = 0, -4ae/(1+e) <= x <= 0 (1.333a at e = 0.5), at any z:
-    # ln T has a kink there, so no inf or NaN, and no warning
-    p = PhysParams(ecc=0.5, eps=0.1)
+    # the segment's ends, at any z: the z-axis (nu = 0) and, at e = 0.6,
+    # the second focus (-1.5a, 0), where nu = 4 and w = pi exactly although
+    # np.sin(w) is 1.2e-16; no inf or NaN, and no warning
+    p = PhysParams(ecc=0.6, eps=0.1)
     pt = [[xy[0] * p.a, xy[1] * p.a, 0.7], [1.0, 1.0, 0.0]]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
