@@ -10,11 +10,16 @@ All evaluators are vectorised: points are arrays of shape (..., 3) and
 results broadcast over the leading axes.  Scalar convenience falls out of
 passing a single (3,) point.
 
-|x| and the nodal coordinate nu have one implementation, the unchecked
-kernel :func:`_nodal`.  :func:`nodal_coordinate` and :func:`drift_root`
+The spatial nu and |x| of the drift and the wave come from one unchecked
+kernel, :func:`_nodal`.  :func:`nodal_coordinate` and :func:`drift_root`
 reject the origin on top of it; :func:`drift_root` also rejects the
 focal ray nu = 0, warns at nu = 4 and hands nu and |x| back with the
 root, so its callers compute neither again and divide by no zero |x|.
+Two other routes stay apart from it: :func:`eccentric_angle` forms the
+planar nu of the (u, v) coordinates with ``np.hypot``, and
+:func:`radius` gives |x| to :func:`alpha_beta` and
+:func:`wave_gradients`, the explicit-radical route that the tests hold
+against :func:`drift_root`.
 
 Conventions fixed here (and exercised by the test suite):
 

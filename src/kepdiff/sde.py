@@ -33,11 +33,11 @@ A step does only what every lane needs: the drift, the cap and the
 update x + b dt + noise, written into the row of a preallocated chunk
 buffer that already holds the step's noise, scaled once per chunk.  The
 work that rarely finds anything is settled once per chunk of
-_NOISE_CHUNK steps, vectorised over the chunk: truncation (the same
-predicate, applied to every step's new state), the cap counts, the
-jump crossings and the records.  None of this changes the arithmetic,
-so the output is the same bit for bit as a plain step-by-step
-(n_paths, 3) implementation of one config.
+_NOISE_CHUNK steps, vectorised over the chunk: truncation (one exact
+test of every step's new state), the cap counts, the jump crossings
+and the records.  None of this changes the arithmetic, so the output
+is the same bit for bit as a plain step-by-step (n_paths, 3)
+implementation of one config.
 
 Reproducibility: noise comes from one Philox4x64-10 bit generator per
 path, keyed by (seed, path_index).  A path's noise is its generator's
@@ -419,17 +419,20 @@ def _run_steps(table):
     in the next row.
 
     Once per chunk, vectorised over its steps, the settle applies what
-    the steps skipped.  A lane that is active at a step truncates at the
-    first step whose new state has a non-finite coordinate or
-    sqrt((x^2 + y^2) + z^2) below its origin radius 1e-8 a (finite
-    coordinates whose squares overflow do not truncate); from that step
-    on its rows are reset to its last valid state, and so are all rows
-    of a lane truncated in an earlier chunk.  Lanes are independent, so
-    what a lane computes after its truncation touches no other lane.
-    cap_rejections counts the capped steps on which the lane was active,
-    the truncation step included.  A jump crossing is a sign change of y
-    between consecutive settled states whose midpoint (x, 0, z) lies in
-    the lane's jump set.  Every stride-th settled state is recorded.
+    the steps skipped.  truncate_step is the one truncation state: -1
+    while a lane runs, else the step it froze at (0 for a start inside
+    the origin ball).  All rows of a lane truncated before the chunk are
+    reset to its frozen state.  Every other lane truncates at the first
+    step whose new state is bad, by one exact test: a coordinate is not
+    finite or sqrt((x^2 + y^2) + z^2) is below its origin radius 1e-8 a
+    (finite coordinates whose squares overflow give inf and do not
+    truncate); from that step on its rows are reset to its last valid
+    state.  Lanes are independent, so what a lane computes after its
+    truncation touches no other lane.  cap_rejections counts the capped
+    steps up to the truncation step, that step included.  A jump
+    crossing is a sign change of y between consecutive settled states
+    whose midpoint (x, 0, z) lies in the lane's jump set.  Every
+    stride-th settled state is recorded.
 
     Returns the records (pos), truncate_step, cap_rejections and
     jump_crossings, keyed by those names; its buffers are freed on
@@ -441,10 +444,10 @@ def _run_steps(table):
     n_paths = table.n_lanes
     n_rec = n_steps // stride + 1
     with np.errstate(all="ignore"):  # finite starts whose squares overflow
-        active = np.sqrt(np.sum(X0 * X0, axis=1)) >= origin_r
+        r0 = np.sqrt(np.sum(X0 * X0, axis=1))
+    truncate_step = np.where(r0 >= origin_r, -1, 0).astype(np.int64)
     gens = [np.random.Generator(np.random.Philox(key=[seed, i]))
             for seed, i in zip(table.seed.tolist(), table.path.tolist())]
-    truncate_step = np.where(active, -1, 0).astype(np.int64)
     cap_rejections = np.zeros(n_paths, dtype=np.int64)
     crossings = np.zeros(n_paths, dtype=np.int64)
     rec_pos = np.empty((n_paths, n_rec, 3))
@@ -461,11 +464,6 @@ def _run_steps(table):
     squares = np.empty((3, n_paths))
     bx2, by2, bz2 = squares
     norm = np.empty(n_paths)
-    # settle scratch, shared by the truncation and the crossing tests
-    radius = np.empty((m, n_paths))
-    prod = np.empty((m, n_paths))
-    clear = np.empty((m, n_paths), dtype=bool)
-    flag = np.empty((m, n_paths), dtype=bool)
 
     k = 0
     with np.errstate(all="ignore"):
@@ -495,52 +493,33 @@ def _run_steps(table):
                 B += X
                 rows[j + 1] += B
 
-            # the settle: first truncation, which fixes where each lane
-            # was active, then the caps, the crossings and the records
-            hits, R, Q = capped[:chunk], radius[:chunk], prod[:chunk]
-            OK, F = clear[:chunk], flag[:chunk]
-            Y = S[1:]
-            np.multiply(Y[:, 0], Y[:, 0], out=R)
-            np.multiply(Y[:, 1], Y[:, 1], out=Q)
-            R += Q
-            np.multiply(Y[:, 2], Y[:, 2], out=Q)
-            R += Q
-            np.sqrt(R, out=R)
-            # origin_r <= r < inf clears a new state; lanes frozen before
-            # this chunk are clear too, and the rest get the exact test
-            np.greater_equal(R, origin_r, out=OK)
-            OK &= np.less(R, np.inf, out=F)
-            frozen = ~active
-            OK |= frozen
-            if np.count_nonzero(frozen):
-                S[1:, :, frozen] = S[0][:, frozen]
-                hits[:, frozen] = False
-            if np.count_nonzero(OK) < OK.size:
-                js, lanes = np.nonzero(~OK)
-                bad = ~np.all(np.isfinite(Y[js, :, lanes]), axis=1) \
-                    | (R[js, lanes] < origin_r[lanes])
-                # np.nonzero runs step-major, so a lane's first entry is
-                # its first bad step
-                lanes, first = np.unique(lanes[bad], return_index=True)
-                for lane, j in zip(lanes, js[bad][first]):
-                    truncate_step[lane] = k + j
-                    active[lane] = False
-                    S[j + 1:, :, lane] = S[j, :, lane]
-                    hits[j + 1:, lane] = False
-
-            if np.count_nonzero(hits):
-                cap_rejections += np.count_nonzero(hits, axis=0)
+            # the settle: first truncation, which fixes the steps each
+            # lane ran, then the caps, the crossings and the records
+            hits, Y = capped[:chunk], S[1:]
+            frozen = truncate_step >= 0
+            Y[:, :, frozen] = S[0][:, frozen]
+            hits[:, frozen] = False
+            r = np.sqrt((Y[:, 0] * Y[:, 0] + Y[:, 1] * Y[:, 1])
+                        + Y[:, 2] * Y[:, 2])
+            bad = (r < origin_r) | ~np.all(np.isfinite(Y), axis=1)
+            bad[:, frozen] = False
+            # np.nonzero runs step-major, so a lane's first entry is its
+            # first bad step
+            js, lanes = np.nonzero(bad)
+            lanes, first = np.unique(lanes, return_index=True)
+            for lane, j in zip(lanes, js[first]):
+                truncate_step[lane] = k + j
+                S[j + 1:, :, lane] = S[j, :, lane]
+                hits[j + 1:, lane] = False
+            cap_rejections += np.count_nonzero(hits, axis=0)
 
             # frozen lanes have equal consecutive states, so y * y >= 0
             # keeps them out
-            np.multiply(S[:-1, 1], S[1:, 1], out=Q)
-            if np.count_nonzero(np.less(Q, 0.0, out=F)):
-                js, lanes = np.nonzero(F)
-                xm = 0.5 * (S[js, 0, lanes] + S[js + 1, 0, lanes])
-                zm = 0.5 * (S[js, 2, lanes] + S[js + 1, 2, lanes])
-                crossings += np.bincount(
-                    lanes[in_jump_set(table[lanes], xm, zm)],
-                    minlength=n_paths)
+            js, lanes = np.nonzero(S[:-1, 1] * S[1:, 1] < 0)
+            xm = 0.5 * (S[js, 0, lanes] + S[js + 1, 0, lanes])
+            zm = 0.5 * (S[js, 2, lanes] + S[js + 1, 2, lanes])
+            crossings += np.bincount(
+                lanes[in_jump_set(table[lanes], xm, zm)], minlength=n_paths)
 
             recs = S[stride - k % stride::stride]
             rec_pos[:, rec_i:rec_i + len(recs)] = recs.transpose(2, 0, 1)
@@ -597,21 +576,25 @@ def areal_velocity(ens: TrajectoryEnsemble):
 
 
 def kepler_diagnostics(ens: TrajectoryEnsemble) -> dict:
-    """Summary report: convergence fractions, areal velocity, counters."""
+    """Summary report: convergence fractions, areal velocity, counters.
+
+    The areal velocity and final |z| leave truncated paths out; they are
+    null when no path is left."""
     frac_t = ens.converged_mask().mean(axis=0)
     half = ens.times >= 0.5 * ens.times[-1]
-    av = areal_velocity(ens)[:, half[1:]]
-    z = ens.pos[~ens.truncated][:, half][..., 2]
+    kept = ~ens.truncated
+    av = areal_velocity(ens)[kept][:, half[1:]]
+    z = ens.pos[kept][:, half][..., 2]
+    av_mean = float(np.mean(av)) if av.size else None
     return {
         "n_paths": int(ens.n_paths),
         "t_final": float(ens.times[-1]),
         "fraction_converged_final": float(frac_t[-1]),
         "convergence_curve": {"t": ens.times.tolist(),
                               "fraction": frac_t.tolist()},
-        "areal_velocity_mean": float(np.mean(av)),
-        "areal_velocity_rel_spread": float(np.std(np.mean(av, axis=1))
-                                           / max(abs(np.mean(av)), 1e-300)),
-        # null when every path is truncated
+        "areal_velocity_mean": av_mean,
+        "areal_velocity_rel_spread": None if av_mean is None else float(
+            np.std(np.mean(av, axis=1)) / max(abs(av_mean), 1e-300)),
         "mean_abs_z_final": float(np.mean(np.abs(z))) if z.size else None,
         "truncated_paths": int(np.sum(ens.truncated)),
         "interior_starts": int(np.sum(ens.u[:, 0] > ens.config.params.ecc)),

@@ -394,7 +394,8 @@ def test_outputs_are_strict_json(capsys, tmp_path):
                        "--out-dir", str(tmp_path))
     assert code == 0
     assert _strict_json(out)["r1_hat"] is None
-    # every path truncated: no final |z| to average, and no warning
+    # every path truncated: no final |z| or areal velocity to average,
+    # and no warning
     cfg = tmp_path / "config.json"
     write_json(cfg, {"sim": {"x0": [0, 0, 0]}})
     with warnings.catch_warnings():
@@ -406,7 +407,21 @@ def test_outputs_are_strict_json(capsys, tmp_path):
     diag = _strict_json((tmp_path / "diagnostics.json").read_text())
     assert diag["truncated_paths"] == 2
     assert diag["mean_abs_z_final"] is None
+    assert diag["areal_velocity_mean"] is None
+    assert diag["areal_velocity_rel_spread"] is None
     _strict_json(out)
+    # a stride past the last step records the start alone: no interval
+    # to take an areal velocity over
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "simulate", "--seed", "1", "--n-steps",
+                           "10", "--n-paths", "2", "--record-stride", "50",
+                           "--out-dir", str(tmp_path / "one_record"))
+    assert code == 0
+    diag = _strict_json(
+        (tmp_path / "one_record" / "diagnostics.json").read_text())
+    assert diag["areal_velocity_mean"] is None
+    assert diag["areal_velocity_rel_spread"] is None
 
 
 def test_removed_dim_flag_rejected(capsys):

@@ -321,10 +321,13 @@ def test_ensemble_matches_reference_partial_noise_tile(p):
         compute_jump_dist=False))
 
 
-def test_ensemble_matches_reference_all_inactive(p):
-    # a ring inside the origin ball: every lane is truncated at step 0
+@pytest.mark.parametrize("n_steps", [300, 2 * sde._NOISE_CHUNK + 3])
+def test_ensemble_matches_reference_all_inactive(p, n_steps):
+    # a ring inside the origin ball: every lane is truncated at step 0,
+    # and stays so over later noise chunks, whose frozen rows are still
+    # inside the ball
     ens = _assert_matches_reference(small_cfg(
-        p, n_paths=5, n_steps=300, x0=RingStart(1e-9), record_stride=3))
+        p, n_paths=5, n_steps=n_steps, x0=RingStart(1e-9), record_stride=3))
     assert np.all(ens.truncate_step == 0)
 
 
@@ -517,11 +520,10 @@ def test_lane_drift_components_equals_per_config_calls():
     assert got.tobytes() == want.tobytes()
 
 
-def test_lane_table_equals_single_config_runs(monkeypatch):
-    # every lane of a four-config table equals its own config's run bit
-    # for bit: the fixed-point config is capped on every step, and from
-    # step 300 on the drift of every lane with x > 0 is NaN, so those
-    # lanes truncate mid-run in both runs
+def _nan_drift_at_step_300(monkeypatch):
+    """Route ``sde.drift_components`` so that on step 300 the drift of
+    every lane with x > 0 is NaN, which truncates those lanes there.
+    Returns the call counter, to be reset to 0 before each run."""
     real = sde.drift_components
     calls = [0]
 
@@ -533,6 +535,14 @@ def test_lane_table_equals_single_config_runs(monkeypatch):
         return B
 
     monkeypatch.setattr(sde, "drift_components", drift_with_fault)
+    return calls
+
+
+def test_lane_table_equals_single_config_runs(monkeypatch):
+    # every lane of a four-config table equals its own config's run bit
+    # for bit: the fixed-point config is capped on every step, and the
+    # lanes with x > 0 at step 300 truncate there in both runs
+    calls = _nan_drift_at_step_300(monkeypatch)
     cfgs = _lane_table_cfgs()
     table = sde.simulate_ensembles(cfgs)
     singles = []
@@ -626,6 +636,22 @@ def test_diagnostics_report(p, stationary_ensemble):
     assert rep["interior_starts"] == 0          # ring start at 3a
     assert len(rep["convergence_curve"]["t"]) == len(stationary_ensemble.times)
     assert rep["truncated_paths"] == 0
+
+
+def test_diagnostics_leave_truncated_paths_out(p, monkeypatch):
+    # the lanes with x > 0 at step 300 truncate there, and their frozen
+    # records add no areal velocity
+    _nan_drift_at_step_300(monkeypatch)
+    ens = simulate_ensemble(small_cfg(p, n_steps=1000, n_paths=8))
+    kept = ~ens.truncated
+    assert np.any(ens.truncate_step == 300) and np.any(kept)
+    half = ens.times >= 0.5 * ens.times[-1]
+    av = sde.areal_velocity(ens)[kept][:, half[1:]]
+    rep = kepler_diagnostics(ens)
+    assert rep["truncated_paths"] == np.count_nonzero(~kept)
+    assert rep["areal_velocity_mean"] == np.mean(av)
+    assert rep["areal_velocity_rel_spread"] == pytest.approx(
+        np.std(np.mean(av, axis=1)) / abs(np.mean(av)), rel=1e-12)
 
 
 def test_interior_start_detected(p):
