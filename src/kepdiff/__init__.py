@@ -30,7 +30,7 @@ from .spectral import (AutocorrGap, DirichletCheck, GapResult,
                        dirichlet_form_residual, gap_from_autocorrelation,
                        gap_from_matrix, hamiltonian_residual,
                        osmotic_radial_scan, stationary_vector,
-                       sup_log_tangential_gradient)
+                       sup_grad_log_tangential)
 from .quadrature import adaptive_quad
 
 __version__ = "0.1.0"

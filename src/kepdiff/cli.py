@@ -359,9 +359,8 @@ def cmd_spectral(args):
                             "C_tilde": scan.C_tilde})
         # no radius past which the bound holds: null, not Infinity
         r1 = scan.r1_hat if math.isfinite(scan.r1_hat) else None
-        print(json.dumps({"scan": path, "r1_hat": r1,
-                          "sup_grad_log_T": scan.sup_grad_log_T,
-                          "C": scan.C}, sort_keys=True))
+        print(json.dumps({"scan": path, "r1_hat": r1, "C": scan.C},
+                         sort_keys=True))
         return 0
     _refuse("--gap", args, "--radii", "--C")
     if args.no_autocorr:

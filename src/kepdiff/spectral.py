@@ -59,15 +59,6 @@ ARPACK_TOL = 1e-10
 EIGEN_RESID_TOL = 1e-8
 #: Path-bootstrap resamples behind the autocovariance gap's interval.
 AUTOCORR_N_BOOT = 200
-#: Radius, in units of a, of the inner shell of the mesh that measures C
-#: and of the radial scan's sup of |grad ln T|.
-SUP_GRAD_R0 = 2.0
-#: Shells (log-spaced from SUP_GRAD_R0 a to 50a) and angles per axis of
-#: the mesh that measures sup |grad ln T|, and the margin C adds on top
-#: of it.
-SUP_GRAD_N_R = 12
-SUP_GRAD_N_ANGLES = 64
-SUP_GRAD_MARGIN = 0.1
 #: Default radii of the radial scan, in units of a.
 SCAN_RADII = np.geomspace(0.1, 100.0, 25)
 #: OpenBLAS thread-count accessors: numpy's ILP64 build suffixes its
@@ -732,14 +723,18 @@ def _sphere_mesh(r, n_angles):
                      r * np.cos(TH)], axis=-1).reshape(-1, 3)
 
 
-def sup_log_tangential_gradient(p: PhysParams):
-    """Largest |grad ln T| on spherical shells from SUP_GRAD_R0 a to 50a."""
-    sup = 0.0
-    for r in np.geomspace(SUP_GRAD_R0 * p.a, 50 * p.a, SUP_GRAD_N_R):
-        pts = _sphere_mesh(r, SUP_GRAD_N_ANGLES)
-        g = grad_log_tangential(p, pts)
-        sup = max(sup, float(np.max(np.linalg.norm(g, axis=1))))
-    return sup
+def sup_grad_log_tangential(p: PhysParams):
+    """sup |grad ln T| = 2e / (a (1 - e)^2 (1 + e)), over all of space.
+
+    grad ln T does not depend on z, so its sup outside any ball is its
+    sup over the plane.  On the segment u = 1, cos v = 1 + x (1+e)/(2ae)
+    and |grad ln T| = |d ln T/dv| (1+e)/(2ae |sin v|) = 2e (1+e) |cos v|
+    / (a (1 - e^2)^2 + 4a e^2 sin^2 v), which tends to the sup at the
+    ends v = 0, pi; :func:`grad_log_tangential` refuses the ends, so no
+    point attains it.  A plane sweep in the tests finds no larger value.
+    """
+    e = p.ecc
+    return 2 * e / (p.a * (1 - e) ** 2 * (1 + e))
 
 
 @dataclass
@@ -749,8 +744,7 @@ class RadialScan:
     eps_part_max: np.ndarray    # max over angles of (eps^2/r)(1 + grad R . x)
     bound: float                # -eps^2 C_tilde / 2
     r1_hat: float               # smallest radius past which max_gu <= bound
-    sup_grad_log_T: float       # over scanned shells outside SUP_GRAD_R0 a
-    C: float                    # given, or measured by the sup mesh
+    C: float                    # given, or the exact sup |grad ln T|
     C_tilde: float              # (mu - eps^2 lam C) / (eps^2 lam)
 
 
@@ -762,43 +756,37 @@ def osmotic_radial_scan(p: PhysParams, radii, C=None) -> RadialScan:
     per-radius maximum of G_u |x| and, separately, of its drift part
     (eps^2/r)(1 + grad R . x), whose large-radius limit is -mu/lam; the
     smallest scanned radius past which the maximum stays below
-    -eps^2 C_tilde/2; and the largest |grad ln T| met on spheres of
-    radius >= SUP_GRAD_R0 a.
+    -eps^2 C_tilde/2.
 
     C stands in for sup |grad ln T|, and C_tilde =
     (mu - eps^2 lam C)/(eps^2 lam) must be positive, so 0 < C <
     mu/(eps^2 lam).  A given C outside that range raises ConfigError.
-    With C None it is measured, sup_log_tangential_gradient(p) +
-    SUP_GRAD_MARGIN: the largest |grad ln T| on a 64 x 64 mesh of 12
-    spheres from SUP_GRAD_R0 a to 50a, plus 0.1.  A measured C outside
-    the range means the estimate fails at these params and raises
-    ConvergenceError.
+    With C None it is the exact sup, :func:`sup_grad_log_tangential`;
+    outside the range the estimate fails at these params, and that
+    raises ConvergenceError.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    if np.any(radii <= 0):
-        raise ConfigError("radii must be positive")
+    if radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ConfigError("radii must be non-empty, finite and positive")
     e2 = p.eps ** 2
     c_max = p.mu / (e2 * p.lam)
     if C is None:
-        C = sup_log_tangential_gradient(p) + SUP_GRAD_MARGIN
+        C = sup_grad_log_tangential(p)
         if not C < c_max:
             raise ConvergenceError(
-                f"measured C = {C:.4g} is not below mu/(eps^2 lam) = "
+                f"sup |grad ln T| = {C:.4g} is not below mu/(eps^2 lam) = "
                 f"{c_max:.4g}: the radial drift estimate fails here")
     elif not 0 < C < c_max:
         raise ConfigError(f"need 0 < C < mu/(eps^2 lam) = {c_max:.4g}")
     C_tilde = (p.mu - e2 * p.lam * C) / (e2 * p.lam)
     max_gu = np.empty(len(radii))
     eps_part = np.empty(len(radii))
-    sup_gT = 0.0
     for k, r in enumerate(radii):
         pts = _sphere_mesh(r, 48)
         grad_r, _ = wave_gradients(p, pts)
         gr_dot = np.sum(grad_r * pts, axis=1)
         part = (e2 / r) * (1.0 + gr_dot)   # (eps^2/2r)(2 + 2 grad R . x)
         gT = grad_log_tangential(p, pts)
-        if r >= SUP_GRAD_R0 * p.a:
-            sup_gT = max(sup_gT, float(np.max(np.linalg.norm(gT, axis=1))))
         gu = part + (e2 / (2 * r)) * np.sum(gT * pts, axis=1)
         max_gu[k] = float(np.max(gu))
         eps_part[k] = float(np.max(part))
@@ -810,8 +798,7 @@ def osmotic_radial_scan(p: PhysParams, radii, C=None) -> RadialScan:
             r1_hat = float(radii[k])
             break
     return RadialScan(radii=radii, max_gu=max_gu, eps_part_max=eps_part,
-                      bound=bound, r1_hat=r1_hat, sup_grad_log_T=sup_gT,
-                      C=C, C_tilde=C_tilde)
+                      bound=bound, r1_hat=r1_hat, C=C, C_tilde=C_tilde)
 
 
 # ---------------------------------------------------------------------------

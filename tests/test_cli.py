@@ -225,14 +225,16 @@ def test_spectral_scan_csv(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, code, message", [
     # a given C out of range is the user's input: a config error
-    (("--C", "-1"), 2, "config error: need 0 < C < mu/(eps^2 lam) = 11.11"),
-    # a measured one means the estimate fails at these params
-    ((), 3, "domain error: measured C = 16.51 "),
+    (("--ecc", "0.9", "--C", "-1"), 2,
+     "config error: need 0 < C < mu/(eps^2 lam) = 11.11"),
+    # sup |grad ln T| out of range means the estimate fails at these params
+    (("--ecc", "0.9"), 3, "domain error: sup |grad ln T| = 94.74 "),
+    (("--ecc", "0.75"), 3, "domain error: sup |grad ln T| = 13.71 "),
 ])
 def test_spectral_scan_C_out_of_range(capsys, tmp_path, argv, code, message):
     out = tmp_path / "out"
-    got, stdout, err = run(capsys, "spectral", "--scan", "--ecc", "0.9",
-                           "--eps", "0.3", *argv, "--out-dir", str(out))
+    got, stdout, err = run(capsys, "spectral", "--scan", "--eps", "0.3",
+                           *argv, "--out-dir", str(out))
     assert got == code
     assert err.startswith(message)
     if code == 3:

@@ -15,10 +15,9 @@ from kepdiff import (ConfigError, ConvergenceError, GridSpec,
                      gap_from_autocorrelation, gap_from_matrix,
                      hamiltonian_residual, log_wave, osmotic_radial_scan,
                      simulate_ensemble, stationary_vector,
-                     sup_log_tangential_gradient, tangential_factor,
+                     sup_grad_log_tangential, tangential_factor,
                      tangential_log_slope, wave_gradients)
-from kepdiff import spectral
-from kepdiff.fields import elliptic_uv
+from kepdiff.fields import eccentric_angle, elliptic_uv
 from kepdiff.spectral import (_fit_decay, default_bump, grad_log_tangential,
                               min_effective_width, production_grid_2d)
 
@@ -629,27 +628,57 @@ def test_scan_rows_format(p):
 
 
 def test_radial_scan_measured_C_out_of_range():
-    # at e = 0.9 the measured C (16.51) exceeds mu/(eps^2 lam) = 11.11 at
-    # eps = 0.3: the estimate fails, a domain error naming both numbers
+    # at eps = 0.3, sup |grad ln T| exceeds mu/(eps^2 lam) = 11.11 at
+    # e = 0.9 and already at e = 0.75: the estimate fails, a domain error
+    # naming both numbers
+    for ecc, sup in ((0.9, r"94\.74"), (0.75, r"13\.71")):
+        p = PhysParams(ecc=ecc, eps=0.3)
+        with pytest.raises(ConvergenceError,
+                           match=rf"sup \|grad ln T\| = {sup} .* = 11\.11"):
+            osmotic_radial_scan(p, [1.0, 10.0])
+
+
+def test_radial_scan_checks_radii_before_measuring():
+    # at (0.9, 0.3) C is out of range, so a ConvergenceError here would
+    # mean C was taken before the radii were checked
     p = PhysParams(ecc=0.9, eps=0.3)
-    with pytest.raises(ConvergenceError,
-                       match=r"measured C = 16\.51 .* = 11\.11"):
-        osmotic_radial_scan(p, [1.0, 10.0])
+    for radii in ([1.0, -2.0], [], [math.nan], [math.inf], [1.0, math.nan]):
+        with pytest.raises(ConfigError, match="radii"):
+            osmotic_radial_scan(p, radii)
 
 
-def test_radial_scan_checks_radii_before_measuring(p, monkeypatch):
-    def unreachable(p):
-        raise AssertionError("C measured before the radii were checked")
+@pytest.mark.parametrize("ecc", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
+def test_sup_grad_log_tangential_closed_form(ecc, lam, mu):
+    # an independent oracle: |grad ln T| on a plane sweep (the points
+    # grad_log_tangential refuses left out) never exceeds the closed
+    # form, and a zoom toward the segment's end (-4ae/(1+e), 0) meets it
+    p = PhysParams(lam=lam, mu=mu, ecc=ecc, eps=0.1)
+    a = p.a
+    sup = sup_grad_log_tangential(p)
+    assert sup == 2 * ecc / (a * (1 - ecc) ** 2 * (1 + ecc))
 
-    monkeypatch.setattr(spectral, "sup_log_tangential_gradient", unreachable)
-    with pytest.raises(ConfigError, match="radii"):
-        osmotic_radial_scan(p, [1.0, -2.0])
+    def norms(x, y):
+        w = eccentric_angle(p, x, y)
+        keep = (w != 0) & (w != np.pi)
+        pts = np.stack([x[keep], y[keep], np.zeros(np.count_nonzero(keep))],
+                       axis=1)
+        return np.linalg.norm(grad_log_tangential(p, pts), axis=1)
+
+    X, Y = np.meshgrid(*[np.linspace(-3, 3, 401) * a] * 2)
+    sweep = norms(X.ravel(), Y.ravel())
+    D, PH = np.meshgrid(np.geomspace(1e-10, 1e-1, 46) * a,
+                        np.linspace(0, 2 * np.pi, 72, endpoint=False))
+    zoom = norms(-4 * a * ecc / (1 + ecc) + (D * np.cos(PH)).ravel(),
+                 (D * np.sin(PH)).ravel())
+    assert max(sweep.max(), zoom.max()) <= sup * (1 + 1e-12)
+    assert zoom.max() == pytest.approx(sup, rel=1e-6)
 
 
 def test_radial_scan_far_field(p):
     radii = np.geomspace(0.1, 100.0, 20) * p.a
     scan = osmotic_radial_scan(p, radii)
-    assert scan.C == sup_log_tangential_gradient(p) + spectral.SUP_GRAD_MARGIN
+    assert scan.C == sup_grad_log_tangential(p)
     assert math.isfinite(scan.r1_hat)
     assert scan.eps_part_max[-1] == pytest.approx(-p.mu / p.lam, rel=0.05)
     assert scan.max_gu[-1] <= scan.bound
