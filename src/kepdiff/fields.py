@@ -65,6 +65,8 @@ def radius(pt):
 def _check_origin(p: PhysParams, r):
     if np.any(r <= ORIGIN_TOL * p.a):
         raise SingularPointError("field evaluation at the origin")
+    if not np.all(np.isfinite(r)):  # a NaN coordinate, or squares overflowed
+        raise SingularPointError("field evaluation where |x| is not finite")
 
 
 def _nodal(p: PhysParams, X):

@@ -714,13 +714,15 @@ def grad_log_tangential(p: PhysParams, pts):
     return np.stack([gx, gy, np.zeros_like(gx)], axis=1)
 
 
-def _sphere_mesh(r, n_angles):
+def _sphere_mesh(radii, n_angles):
+    """Cell-centred (polar x azimuth) meshes, shape (len(radii), n^2, 3)."""
     th = (np.arange(n_angles) + 0.5) * np.pi / n_angles          # polar
     ph = (np.arange(n_angles) + 0.5) * 2 * np.pi / n_angles      # azimuth
     TH, PH = np.meshgrid(th, ph, indexing="ij")
+    r = np.reshape(radii, (-1, 1, 1))
     return np.stack([r * np.sin(TH) * np.cos(PH),
                      r * np.sin(TH) * np.sin(PH),
-                     r * np.cos(TH)], axis=-1).reshape(-1, 3)
+                     r * np.cos(TH)], axis=-1).reshape(len(radii), -1, 3)
 
 
 def sup_grad_log_tangential(p: PhysParams):
@@ -752,11 +754,12 @@ def osmotic_radial_scan(p: PhysParams, radii, C=None) -> RadialScan:
     """Scan G_u |x| = (eps^2/2|x|)(2 + 2 grad R . x + grad ln T . x).
 
     Evaluates the osmotic generator applied to the radius on a 48 x 48
-    (polar x azimuth) cell-centred mesh of each sphere.  Reports the
-    per-radius maximum of G_u |x| and, separately, of its drift part
-    (eps^2/r)(1 + grad R . x), whose large-radius limit is -mu/lam; the
-    smallest scanned radius past which the maximum stays below
-    -eps^2 C_tilde/2.
+    (polar x azimuth) cell-centred mesh of each sphere, all spheres in
+    one batch.  Reports the per-radius maximum of G_u |x| and,
+    separately, of its drift part (eps^2/r)(1 + grad R . x), whose
+    large-radius limit is -mu/lam; and r1_hat, the scanned radius after
+    the last one whose maximum exceeds -eps^2 C_tilde/2 (radii[0] if
+    none does, inf if the largest does).
 
     C stands in for sup |grad ln T|, and C_tilde =
     (mu - eps^2 lam C)/(eps^2 lam) must be positive, so 0 < C <
@@ -779,24 +782,19 @@ def osmotic_radial_scan(p: PhysParams, radii, C=None) -> RadialScan:
     elif not 0 < C < c_max:
         raise ConfigError(f"need 0 < C < mu/(eps^2 lam) = {c_max:.4g}")
     C_tilde = (p.mu - e2 * p.lam * C) / (e2 * p.lam)
-    max_gu = np.empty(len(radii))
-    eps_part = np.empty(len(radii))
-    for k, r in enumerate(radii):
-        pts = _sphere_mesh(r, 48)
-        grad_r, _ = wave_gradients(p, pts)
-        gr_dot = np.sum(grad_r * pts, axis=1)
-        part = (e2 / r) * (1.0 + gr_dot)   # (eps^2/2r)(2 + 2 grad R . x)
-        gT = grad_log_tangential(p, pts)
-        gu = part + (e2 / (2 * r)) * np.sum(gT * pts, axis=1)
-        max_gu[k] = float(np.max(gu))
-        eps_part[k] = float(np.max(part))
+    pts = _sphere_mesh(radii, 48)
+    r = radii[:, None]
+    grad_r, _ = wave_gradients(p, pts)
+    part = (e2 / r) * (1.0 + np.sum(grad_r * pts, axis=-1))
+    gT = grad_log_tangential(p, pts).reshape(pts.shape)
+    gu = part + (e2 / (2 * r)) * np.sum(gT * pts, axis=-1)
+    max_gu = np.max(gu, axis=1)
+    eps_part = np.max(part, axis=1)
     bound = -e2 * C_tilde / 2
-    ok = max_gu <= bound
-    r1_hat = math.inf
-    for k in range(len(radii)):
-        if ok[k:].all():
-            r1_hat = float(radii[k])
-            break
+    # r1_hat: the radius after the last one that fails the bound
+    fails = np.flatnonzero(~(max_gu <= bound))
+    k = fails[-1] + 1 if fails.size else 0
+    r1_hat = float(radii[k]) if k < radii.size else math.inf
     return RadialScan(radii=radii, max_gu=max_gu, eps_part_max=eps_part,
                       bound=bound, r1_hat=r1_hat, C=C, C_tilde=C_tilde)
 
@@ -812,20 +810,6 @@ class HamiltonianResidual:
     rel: float
 
 
-def _log_psi_tilde(p: PhysParams, pts):
-    lw = log_wave(p, pts)
-    return np.real(lw) - np.imag(lw)
-
-
-def _branch_safe(p: PhysParams, pt, h):
-    """The FD stencil must not straddle the phase branch cuts at y = 0."""
-    x, y, z = pt
-    if abs(y) > 4 * h:
-        return True
-    left, _ = jump_interval(p, z)
-    return x < left - 4 * h  # only the far-left part of y = 0 is cut-free
-
-
 def hamiltonian_residual(p: PhysParams, pt) -> HamiltonianResidual:
     """Residual identity of the similarity-transformed Hamiltonian.
 
@@ -836,35 +820,24 @@ def hamiltonian_residual(p: PhysParams, pt) -> HamiltonianResidual:
     from closed-form gradients (Laplacian by finite differences).  The
     two agree to O(h^2); the common value quantifies how far the
     limiting state is from an exact stationary one (for which both
-    vanish).  The step is chosen by three-point Richardson consistency.
+    vanish).
+
+    One step h = sqrt(0.006) ell, with ell = eps^2 lam/(2 mu) the
+    variation scale of ln psi~; both sides are Richardson-extrapolated
+    from the stencils at h/2 and h/4.  The stencil must not straddle
+    the phase branch cuts at y = 0, of which only the far-left part is
+    cut-free: a point with |y| <= 4h and x >= left(z) - 4h, where
+    left(z) is the left end of the jump interval, raises
+    SingularPointError.
     """
     pt = np.asarray(pt, dtype=float).reshape(3)
-    ell = 0.5 * p.eps ** 2 * p.lam / p.mu   # variation scale of log psi~
-    cands = ell * np.geomspace(0.6, 0.01, 9)
-    # score each step by how closely its halving triple follows the
-    # clean O(h^2) signature (successive differences shrinking fourfold);
-    # the deviation of that ratio from 4 tracks both the truncation tail
-    # and the roundoff floor of the log differences
-    best = None
-    for hc in cands:
-        if not _branch_safe(p, pt, hc):
-            continue
-        try:
-            v1 = _lhs_rhs(p, pt, hc)
-            v2 = _lhs_rhs(p, pt, hc / 2)
-            v4 = _lhs_rhs(p, pt, hc / 4)
-        except (SingularPointError, FloatingPointError):
-            continue
-        d24 = v2[0] - v4[0]
-        if d24 == 0.0:
-            continue
-        score = abs((v1[0] - v2[0]) / d24 - 4.0)
-        if best is None or score < best[0]:
-            best = (score, v2, v4)
-    if best is None:
+    h = math.sqrt(0.006) * 0.5 * p.eps ** 2 * p.lam / p.mu
+    x, y, z = pt
+    if not (abs(y) > 4 * h or x < jump_interval(p, z)[0] - 4 * h):
         raise SingularPointError(
             "no admissible step: point too close to the phase branch cut")
-    _, (l2, r2), (l4, r4) = best
+    l2, r2 = _lhs_rhs(p, pt, h / 2)
+    l4, r4 = _lhs_rhs(p, pt, h / 4)
     lhs = (4 * l4 - l2) / 3          # Richardson-extrapolated
     rhs = (4 * r4 - r2) / 3
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
@@ -877,7 +850,8 @@ def _lhs_rhs(p: PhysParams, pt, h):
     S = np.tile(pt, (7, 1))
     S[1 + 2 * k, k] += h
     S[2 + 2 * k, k] -= h
-    lw = _log_psi_tilde(p, S)
+    lw = log_wave(p, S)
+    lw = lw.real - lw.imag           # ln psi~ = R_eps - S_eps
     lap_g = (np.sum(np.exp(lw[1:] - lw[0])) - 6.0) / (h * h)
     b = drift(p, S)
     gr, gs = wave_gradients(p, S)

@@ -27,10 +27,20 @@ def test_field_point(capsys):
     assert doc["config"]["ecc"] == 0.5
 
 
-def test_field_origin_exit_code(capsys):
-    code, _, err = run(capsys, "field", "--point", "0,0,0")
+@pytest.mark.parametrize("argv", [
+    ["field", "--point", "0,0,0"],
+    # |x| overflows to inf: a domain error, not NaN or Infinity in the output
+    ["field", "--point", "1e200,0.5,0"],
+    ["field", "--grid", "2", "--box=1e200,2e200,0,1", "--out", "g.csv"],
+    ["spectral", "--scan", "--radii", "1e200"],
+], ids=["origin", "point_overflow", "grid_overflow", "scan_overflow"])
+def test_field_origin_exit_code(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code, _, err = run(capsys, *argv)
     assert code == 3
-    assert "error" in err
+    assert "domain error" in err
 
 
 def test_field_check_identities(capsys):

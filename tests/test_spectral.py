@@ -685,6 +685,12 @@ def test_radial_scan_far_field(p):
     # small radii (ellipse scale and below) violate the bound
     assert scan.max_gu[0] > scan.bound
     assert scan.r1_hat > p.a
+    # r1_hat is the radius after the last one that fails the bound
+    k = scan.radii.tolist().index(scan.r1_hat)
+    assert scan.max_gu[k - 1] > scan.bound
+    assert np.all(scan.max_gu[k:] <= scan.bound)
+    # no radius fails: the bound holds from the first one scanned
+    assert osmotic_radial_scan(p, [50 * p.a, 100 * p.a]).r1_hat == 50 * p.a
 
 
 def test_radial_scan_without_tangential_term(p):
@@ -772,3 +778,8 @@ def test_hamiltonian_branch_guard():
     from kepdiff import SingularPointError
     with pytest.raises(SingularPointError):
         hamiltonian_residual(p, [0.8, 0.0, 0.0])  # on the cut half-plane
+    # within 4h of the cut, h = sqrt(0.006) eps^2 lam/(2 mu) = 0.0035 a
+    with pytest.raises(SingularPointError, match="no admissible step"):
+        hamiltonian_residual(p, [0.8, 0.01, 0.0])
+    # as close to y = 0 in the cut-free far-left region still evaluates
+    assert hamiltonian_residual(p, [-2.0, 0.005, 0.0]).rel < 1e-6
