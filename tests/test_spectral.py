@@ -18,7 +18,8 @@ from kepdiff import (ConfigError, ConvergenceError, GridSpec,
                      sup_grad_log_tangential, tangential_factor,
                      tangential_log_slope, wave_gradients)
 from kepdiff.fields import eccentric_angle, elliptic_uv
-from kepdiff.spectral import (_fit_decay, default_bump, grad_log_tangential,
+from kepdiff.spectral import (_fit_decay, _model_drift_nd, _model_weight,
+                              default_bump, grad_log_tangential,
                               min_effective_width, production_grid_2d)
 
 from conftest import assert_bitwise_equal, random_points
@@ -441,14 +442,15 @@ def test_dirichlet_constant_function(model_gen):
     assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.residual == 0.0
 
 
+def _clipped_ramp(p):
+    bump = default_bump(p, width=0.5 * p.a)
+    return lambda xy: xy[..., 0] * bump(xy)
+
+
 def test_dirichlet_clipped_ramp_decreases():
     p = PhysParams(ecc=0.5, eps=0.3)
     a = p.a
-    bump = default_bump(p, width=0.5 * a)
-
-    def ramp(xy):
-        return xy[..., 0] * bump(xy)
-
+    ramp = _clipped_ramp(p)
     resids = [dirichlet_form_residual(
         p, GridSpec(dim=2, box=((-2 * a, 2 * a), (-2 * a, 2 * a)), n=n),
         f=ramp).residual for n in (200, 400)]
@@ -460,6 +462,95 @@ def test_dirichlet_rejects_unsupported_function():
     grid = GridSpec(dim=2, box=((-1, 1), (-1, 1)), n=50)
     with pytest.raises(ConfigError):
         dirichlet_form_residual(p, grid, f=lambda xy: xy[..., 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dirichlet_rejects_non_finite_function(bad):
+    p = PhysParams(ecc=0.5, eps=0.3)
+    a = p.a
+    grid = GridSpec(dim=2, box=((-2 * a, 2 * a), (-2 * a, 2 * a)), n=100)
+    bump = default_bump(p)
+
+    def f(xy):
+        F = bump(xy)
+        F[50, 50] = bad
+        return F
+
+    with pytest.raises(ConfigError, match="finite"):
+        dirichlet_form_residual(p, grid, f=f)
+
+
+def _dirichlet_full_mesh(p, grid, f):
+    """The Dirichlet sums with drift and weight on every interior node."""
+    h = grid.h
+    pts = np.stack(grid.mesh(), axis=-1)
+    F = f(pts)
+    C = F[1:-1, 1:-1]
+    fx = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * h)
+    fy = (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * h)
+    lap = (F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]
+           - 4 * C) / (h * h)
+    nodes = pts[1:-1, 1:-1].reshape(-1, 2)
+    bx, by = _model_drift_nd(p, nodes, 2).T.reshape(2, *C.shape)
+    w = _model_weight(p, nodes, 2).reshape(C.shape)
+    Gf = 0.5 * p.eps ** 2 * lap + bx * fx + by * fy
+    lhs = -float(np.sum(w * C * Gf))
+    rhs = 0.5 * p.eps ** 2 * float(np.sum(w * (fx * fx + fy * fy)))
+    return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("which", ["bump", "ramp"])
+def test_dirichlet_matches_full_mesh_oracle(which, n):
+    # the restriction to the stencils' reach must leave the ratio of the
+    # whole-grid sums as it is, to rounding
+    p = PhysParams(ecc=0.5, eps=0.3)
+    a = p.a
+    f = default_bump(p) if which == "bump" else _clipped_ramp(p)
+    grid = GridSpec(dim=2, box=((-2 * a, 2 * a), (-2 * a, 2 * a)), n=n)
+    lhs, rhs, resid = _dirichlet_full_mesh(p, grid, f)
+    chk = dirichlet_form_residual(p, grid, f=f)
+    assert chk.residual == pytest.approx(resid, rel=1e-12, abs=0)
+    assert chk.lhs / chk.rhs == pytest.approx(lhs / rhs, rel=1e-12, abs=0)
+
+
+def test_dirichlet_zero_function():
+    p = PhysParams(ecc=0.5, eps=0.3)
+    a = p.a
+    grid = GridSpec(dim=2, box=((-2 * a, 2 * a), (-2 * a, 2 * a)), n=100)
+    chk = dirichlet_form_residual(p, grid,
+                                  f=lambda xy: np.zeros(xy.shape[:-1]))
+    assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.residual == 0.0
+
+
+def test_dirichlet_evaluates_only_the_stencil_reach(monkeypatch):
+    from kepdiff import spectral
+    seen = []
+    inner = spectral.log_invariant_density
+
+    def counting(p, pts):
+        seen.append(len(pts))
+        return inner(p, pts)
+
+    monkeypatch.setattr(spectral, "log_invariant_density", counting)
+    p = PhysParams(ecc=0.5, eps=0.3)
+    a = p.a
+    grid = GridSpec(dim=2, box=((-2 * a, 2 * a), (-2 * a, 2 * a)), n=400)
+    dirichlet_form_residual(p, grid)
+    assert 0 < sum(seen) <= 0.05 * 398 ** 2
+
+
+def test_dirichlet_sides_independent_of_the_box():
+    # same spacing and lattice, so the same nodes carry f; lhs and rhs are
+    # averages over those nodes and do not see the empty part of the box
+    p = PhysParams(ecc=0.5, eps=0.3)
+    a = p.a
+    small = dirichlet_form_residual(
+        p, GridSpec(dim=2, box=((-2 * a, 2 * a), (-2 * a, 2 * a)), n=200))
+    large = dirichlet_form_residual(
+        p, GridSpec(dim=2, box=((-3 * a, 3 * a), (-3 * a, 3 * a)), n=300))
+    assert large.lhs == pytest.approx(small.lhs, rel=1e-12, abs=0)
+    assert large.rhs == pytest.approx(small.rhs, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
