@@ -136,6 +136,11 @@ class SimConfig:
             raise ConfigError("dt must be positive")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
+        if self.n_steps // self.record_stride + 1 > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"n_steps {self.n_steps} at record_stride "
+                f"{self.record_stride} gives more records than numpy can "
+                "index")
         if not self.dt * self.drift_cap < 0.5 * p.a:
             raise ConfigError(
                 "dt * drift_cap must stay below 0.5 a; a capped step may "

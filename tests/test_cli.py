@@ -195,6 +195,7 @@ def test_spectral_gap_report(capsys, tmp_path):
     doc = read_json(tmp_path / "gap_report.json")
     assert doc["gap"] > 0
     assert doc["eigen_residual"] < 1e-8
+    assert len(doc["eigenvalues"]) == spectral.N_EIGS
     assert "converged" not in doc
     assert doc["params"]["eps"] == 0.3
 
@@ -315,6 +316,9 @@ def test_verify_quick(capsys):
     ("simulate", "--seed", "1", "--n-steps", "10", "--n-paths", "2",
      "--n-periods", "0"),
     ("spectral", "--scan", "--radii", ""),
+    # more records than numpy can index
+    ("measure", "--marginal", "--samples", "1e30", "--seed", "1"),
+    ("simulate", "--seed", "1", "--n-steps", str(10 ** 20)),
 ])
 def test_malformed_input_exit_code(capsys, tmp_path, monkeypatch, argv):
     # a dict stands for a config document, passed as its file's path; a

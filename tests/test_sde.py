@@ -92,6 +92,15 @@ def test_config_non_finite_start_rejected(p, x0):
         SimConfig(params=p, x0=x0)
 
 
+@pytest.mark.parametrize("stride", [1, 10])
+def test_config_record_count_within_numpy_index(p, stride):
+    # n_steps // stride + 1 records; numpy indexes at most intp max
+    top = np.iinfo(np.intp).max
+    SimConfig(params=p, n_steps=(top - 1) * stride, record_stride=stride)
+    with pytest.raises(ConfigError, match="more records"):
+        SimConfig(params=p, n_steps=top * stride, record_stride=stride)
+
+
 def test_config_defaults(p):
     cfg = SimConfig(params=p)
     assert cfg.dt == pytest.approx(1e-3)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kepdiff import (ConfigError, ConvergenceError, GridSpec,
@@ -17,10 +18,12 @@ from kepdiff import (ConfigError, ConvergenceError, GridSpec,
                      simulate_ensemble, stationary_vector,
                      sup_grad_log_tangential, tangential_factor,
                      tangential_log_slope, wave_gradients)
+from kepdiff import spectral
 from kepdiff.fields import eccentric_angle, elliptic_uv
-from kepdiff.spectral import (_fit_decay, _model_drift_nd, _model_weight,
-                              default_bump, grad_log_tangential,
-                              min_effective_width, production_grid_2d)
+from kepdiff.spectral import (ARPACK_TOL, _fit_decay, _model_drift_nd,
+                              _model_weight, _one_blas_thread, default_bump,
+                              grad_log_tangential, min_effective_width,
+                              production_grid_2d)
 
 from conftest import assert_bitwise_equal, random_points
 
@@ -285,17 +288,32 @@ def test_stationary_vector_sign_checked():
         stationary_vector(G)
 
 
-def _default_order_lu(G):
-    """Oracle: SuperLU's default-ordering factor of G's pinned matrix."""
+def _pinned(G):
     M = G.matrix.tolil(copy=True)
     M[G.pin, :] = 0.0
     M[G.pin, G.pin] = 1.0
-    return spla.splu(M.tocsc())
+    return M.tocsc()
+
+
+def _default_order_lu(G):
+    """Oracle: SuperLU's default-ordering factor of G's pinned matrix."""
+    return spla.splu(_pinned(G))
+
+
+def _pivoting_mmd_lu(G):
+    """Oracle: the same minimum-degree order with partial pivoting."""
+    return spla.splu(_pinned(G), permc_spec="MMD_AT_PLUS_A")
 
 
 def _model_n80():
     p = PhysParams(ecc=0.5, eps=0.3)
     return build_generator(p, production_grid_2d(p, n=80))
+
+
+def _c7_coarse():
+    # C7's coarse grid at e = 0.5, eps = 0.3
+    p = PhysParams(ecc=0.5, eps=0.3)
+    return build_generator(p, production_grid_2d(p, n=160))
 
 
 def _neumann_2d():
@@ -305,18 +323,100 @@ def _neumann_2d():
                            check_resolution=False)
 
 
-@pytest.mark.parametrize("build", [_model_n80, _neumann_2d],
-                         ids=["model_n80", "neumann_2d"])
-def test_fill_reducing_order_changes_no_result(build):
+@pytest.mark.parametrize("build", [_model_n80, _neumann_2d, _c7_coarse],
+                         ids=["model_n80", "neumann_2d", "c7_coarse"])
+def test_fill_reducing_order_changes_no_result(build, monkeypatch):
     G = build()
+    res = gap_from_matrix(G)
     oracle = dataclasses.replace(G)
     oracle.pinned_lu = _default_order_lu(G)
-    gap, ref = gap_from_matrix(G).gap, gap_from_matrix(oracle).gap
-    assert abs(gap / ref - 1) < 1e-10
+    assert abs(res.gap / gap_from_matrix(oracle).gap - 1) < 1e-10
     pi, pi_ref = stationary_vector(G)[0], stationary_vector(oracle)[0]
     assert np.abs(pi - pi_ref).sum() < 1e-12
     lu, lu_ref = G.pinned_lu, oracle.pinned_lu
     assert lu.L.nnz + lu.U.nnz < lu_ref.L.nnz + lu_ref.U.nnz
+
+    # the unpivoted factor and the 4-eigenvalue window against a pivoting
+    # factor in the same order and a window of 6 at ncv 40
+    wide = dataclasses.replace(G)
+    wide.pinned_lu = _pivoting_mmd_lu(G)
+    monkeypatch.setattr(spectral, "N_EIGS", 6)
+    monkeypatch.setattr(spectral, "ARPACK_NCV", 40)
+    ref = gap_from_matrix(wide)
+    assert abs(res.gap / ref.gap - 1) < 1e-12
+    assert abs(res.eigenvalue - ref.eigenvalue) < 1e-12 * abs(ref.eigenvalue)
+    assert np.abs(pi - stationary_vector(wide)[0]).sum() < 1e-12
+
+
+def test_gap_solve_count_on_c7_coarse_grid():
+    # 71 solves with 6 eigenvalues at ncv 40
+    G = _c7_coarse()
+    lu, solves = G.pinned_lu, []
+
+    class CountingLU:
+        def solve(self, *args, **kwargs):
+            solves.append(1)
+            return lu.solve(*args, **kwargs)
+
+    counted = dataclasses.replace(G)
+    counted.pinned_lu = CountingLU()
+    gap_from_matrix(counted)
+    assert len(solves) <= 55
+
+
+def _shifted_eigenvalues(G, pi, sigma):
+    """Eigenvalues of G's matrix near the complex shift sigma that pass
+    their own residual check |Q v - lam v| / |v| < 1e-8.
+
+    Complex shift-invert Arnoldi on (Q - sigma I)^-1, with the null
+    direction (constants) deflated along pi as in ``gap_from_matrix``.
+    """
+    Q = G.matrix.tocsc()
+    N = Q.shape[0]
+    lu = spla.splu((Q - sigma * sp.identity(N, format="csc")).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A")
+
+    def proj(x):
+        return x - pi @ x
+
+    op = spla.LinearOperator((N, N), matvec=lambda x: proj(lu.solve(proj(x))),
+                             dtype=complex)
+    v0 = proj(np.random.default_rng(0).standard_normal(N)).astype(complex)
+    theta, vecs = spla.eigs(op, k=6, which="LM", v0=v0, tol=ARPACK_TOL)
+    lams = sigma + 1.0 / theta
+    resid = (np.linalg.norm(Q @ vecs - vecs * lams, axis=0)
+             / np.linalg.norm(vecs, axis=0))
+    return lams[resid < 1e-8]
+
+
+def _below(lams, gap):
+    """The nonzero eigenvalues with Re(-lambda) under gap."""
+    return [lam for lam in lams
+            if abs(lam) > 1e-9 and -lam.real < gap * (1 - 1e-9)]
+
+
+def test_gap_minimality_probe():
+    # The 4-eigenvalue window sees only the slowest few |lambda|.  Shifts
+    # on the line Re = -gap, at j times the slow pair's frequency, look for
+    # a smaller Re(-lambda) elsewhere: no certificate (that would need a
+    # bound on |Im lambda| over the strip), but a check that does not
+    # rely on the window.
+    G = _c7_coarse()
+    res = gap_from_matrix(G)
+    pi, _ = stationary_vector(G)
+    upper = complex(-res.gap, abs(res.eigenvalue.imag))
+    with _one_blas_thread():
+        found = [_shifted_eigenvalues(G, pi, complex(-res.gap, j * upper.imag))
+                 for j in range(4)]
+    assert all(lams.size for lams in found)
+    kept = np.concatenate(found)
+    assert not _below(kept, res.gap)
+    # the j = 1 shift sits on the gap pair itself
+    assert np.min(np.abs(found[1] - upper)) < 1e-9 * abs(upper)
+    # negative control: a gap 1% too large is caught by that pair
+    flagged = _below(kept, 1.01 * res.gap)
+    assert flagged
+    assert min(abs(lam - upper) for lam in flagged) < 1e-9 * abs(upper)
 
 
 def _openblas_thread_accessors():
