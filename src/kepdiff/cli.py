@@ -2,8 +2,8 @@
 
 Subcommands: field, simulate, measure, spectral, verify.  Configuration
 comes from a single JSON document with sections {params, sim, grid,
-spectral, output}; command-line flags override file values, and every
-artifact embeds the fully resolved configuration.  Stochastic commands
+output}; command-line flags override file values, and every artifact
+embeds the fully resolved configuration.  Stochastic commands
 require an explicit --seed (no wall-clock seeding anywhere).
 `spectral --gap` solves the planar z = 0 restriction on
 `spectral.production_grid_2d`, whose points per axis are the grid
@@ -59,7 +59,6 @@ def _start(v):
 _INT = (_integer, "an integer")
 _REAL = (_finite, "a finite number")
 _TEXT = (lambda v: isinstance(v, str), "a string")
-_SECTIONS = {"params", "sim", "grid", "spectral", "output"}
 #: Each section's keys, with the check a value must pass and its wording.
 _KEYS = {
     "params": {"lambda": _REAL, "mu": _REAL, "ecc": _REAL, "eps": _REAL},
@@ -68,7 +67,6 @@ _KEYS = {
                            "{'ring': {'radius': r, 'z': z}} of numbers"),
             "drift_cap": _REAL, "record_stride": _INT},
     "grid": {"n": _INT},
-    "spectral": {"C": _REAL},
     "output": {"dir": _TEXT, "prefix": _TEXT},
 }
 
@@ -83,7 +81,7 @@ def load_config(path):
             from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - _SECTIONS
+    unknown = set(cfg) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for sec, keys in _KEYS.items():
@@ -344,13 +342,11 @@ def cmd_spectral(args):
     # document may serve both modes
     if args.scan:
         _refuse("--scan", args, "--gap", "--n", "--seed", "--no-autocorr")
-        C = args.C if args.C is not None else cfg.get("spectral", {}).get("C")
         if args.radii is not None:
             radii = _parse_floats("--radii", args.radii, None)
         else:
             radii = spectral.SCAN_RADII * p.a
-        scan = spectral.osmotic_radial_scan(
-            p, radii, C=None if C is None else float(C))
+        scan = spectral.osmotic_radial_scan(p, radii)
         out_dir, prefix = _out_dir(cfg, args)
         path = os.path.join(out_dir, prefix + "radial_scan.csv")
         rows = (scan.radii, scan.max_gu, np.full(len(scan.radii), scan.bound))
@@ -362,7 +358,7 @@ def cmd_spectral(args):
         print(json.dumps({"scan": path, "r1_hat": r1, "C": scan.C},
                          sort_keys=True))
         return 0
-    _refuse("--gap", args, "--radii", "--C")
+    _refuse("--gap", args, "--radii")
     if args.no_autocorr:
         _refuse("--no-autocorr", args, "--seed")
     elif args.seed is None:
@@ -458,7 +454,6 @@ def build_parser():
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--no-autocorr", dest="no_autocorr", action="store_true")
     sp.add_argument("--radii", default=None)
-    sp.add_argument("--C", type=float, default=None)
     sp.set_defaults(func=cmd_spectral)
 
     sp = sub.add_parser("verify", help="run the acceptance criteria")

@@ -140,7 +140,7 @@ def alpha_beta(p: PhysParams, pt):
     t2 = 0.5 * ((A - c / 2) ** 2 + B2 - c * c / 4) / D
     big = np.sqrt(t1 + np.abs(t2))
     # big = 0 only at the branch point nu = 4, where y = 0 and so small = 0
-    small = -c / 2 * np.sqrt(1 - e * e) * y / (D * np.where(big > 0, big, 1.0))
+    small = -c / 2 * p.axis_ratio * y / (D * np.where(big > 0, big, 1.0))
     re_pos = t2 >= 0
     alpha = np.where(re_pos, big, np.abs(small))
     # principal root: beta >= 0 on the jump set itself (y = 0)
@@ -158,11 +158,10 @@ def complex_velocity(p: PhysParams, pt):
     """
     pt = as_points(pt)
     w, _, r = drift_root(p, pt)
-    e = p.ecc
     unit = pt / r[..., None]
-    fixed = np.array([1j, -np.sqrt(1 - e * e), 0.0])
+    fixed = np.array([1j, -p.axis_ratio, 0.0])
     out = (1j * p.mu / (2 * p.lam)) * (1 + w)[..., None] * unit \
-        + (p.mu / (2 * p.lam * e)) * (1 - w)[..., None] * fixed
+        + (p.mu / (2 * p.lam * p.ecc)) * (1 - w)[..., None] * fixed
     return out
 
 
@@ -176,8 +175,7 @@ def wave_gradients(p: PhysParams, pt):
     """
     pt = as_points(pt)
     alpha, beta = alpha_beta(p, pt)
-    e = p.ecc
-    sq = np.sqrt(1 - e * e)
+    e, sq = p.ecc, p.axis_ratio
     pre = -p.mu / (2 * e * p.lam * p.eps ** 2)
     unit = pt / radius(pt)[..., None]
     grad_r = pre * ((1 + alpha)[..., None] * e * unit
@@ -277,7 +275,7 @@ def jump_interval(p: PhysParams, z):
     e, a = p.ecc, p.a
     left = e * (np.sqrt(16 * a * a * e * e + z * z * (1 - e * e)) - 4 * a) \
         / (1 - e * e)
-    right = e * np.abs(z) / np.sqrt(1 - e * e)
+    right = e * np.abs(z) / p.axis_ratio
     return left, right
 
 
@@ -297,7 +295,7 @@ def near_jump_set(p: PhysParams, pts, tol):
     """
     pts = as_points(pts)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    pad = 2.0 * tol / np.sqrt(1 - p.ecc ** 2)
+    pad = 2.0 * tol / p.axis_ratio
     return (np.abs(y) <= tol) & in_jump_set(p, x, z, pad=pad)
 
 
@@ -361,7 +359,7 @@ def eccentric_angle(p: PhysParams, x, y):
     u = 1 is xi = 0, with ends w = 0 (nu = 0) and w = pi (nu = 4).
     """
     e, a = p.ecc, p.a
-    nu = (np.hypot(x, y) - x / e - 1j * y * np.sqrt(1 - e * e) / e) / a
+    nu = (np.hypot(x, y) - x / e - 1j * y * p.axis_ratio / e) / a
     w = np.arccos(1 - nu / 2)
     return np.where(y < 0, 2 * np.pi - w, w)
 
@@ -403,16 +401,16 @@ def ellipse_point(p: PhysParams, v):
     v = np.asarray(v, dtype=float)
     e, a = p.ecc, p.a
     return np.stack(np.broadcast_arrays(
-        a * (np.cos(v) - e), a * np.sqrt(1 - e * e) * np.sin(v),
+        a * (np.cos(v) - e), a * p.axis_ratio * np.sin(v),
         np.zeros_like(v)), axis=-1)
 
 
 def ellipse_tangent(p: PhysParams, v):
     """Unit tangent of the attracting ellipse at eccentric angle v."""
     v = np.asarray(v, dtype=float)
-    e, a = p.ecc, p.a
+    a = p.a
     t = np.stack(np.broadcast_arrays(
-        -a * np.sin(v), a * np.sqrt(1 - e * e) * np.cos(v),
+        -a * np.sin(v), a * p.axis_ratio * np.cos(v),
         np.zeros_like(v)), axis=-1)
     return t / np.linalg.norm(t, axis=-1, keepdims=True)
 

@@ -549,8 +549,7 @@ def deterministic_orbit(p: PhysParams, n_periods=5):
     # imported here, its only use, so that other runs do not load it
     from scipy.integrate import solve_ivp
 
-    e, a = p.ecc, p.a
-    sq = math.sqrt(1 - e * e)
+    e, a, sq = p.ecc, p.a, p.axis_ratio
     target = 2 * math.pi * n_periods
 
     def rhs(t, state):

@@ -98,11 +98,10 @@ def complex_velocity_finite(p: PhysParams, n: int, pt):
     nu = nodal_coordinate(p, pt)
     rho = np.array([laguerre_ratio(n - 1, n * nv)
                     for nv in np.ravel(nu)]).reshape(nu.shape)
-    e = p.ecc
     unit = pt / radius(pt)[..., None]
-    fixed = np.array([1j, -np.sqrt(1 - e * e), 0.0])
+    fixed = np.array([1j, -p.axis_ratio, 0.0])
     return (1j * p.mu / p.lam) * (1 - rho)[..., None] * unit \
-        + (p.mu / (p.lam * e)) * rho[..., None] * fixed
+        + (p.mu / (p.lam * p.ecc)) * rho[..., None] * fixed
 
 
 def log_wave(p: PhysParams, pt):

@@ -146,9 +146,9 @@ class GridSpec:
             raise ConfigError("box must give one (lo, hi) pair per axis")
         object.__setattr__(self, "box", box)
         for axis, (lo, hi) in enumerate(box):
-            if not lo < hi:
+            if not (lo < hi and math.isfinite(hi - lo)):
                 raise ConfigError(
-                    f"box axis {axis} needs lo < hi, got ({lo}, {hi})")
+                    f"box axis {axis} needs finite lo < hi, got ({lo}, {hi})")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
@@ -317,8 +317,10 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
     zero drift) to build control problems.  weight_fn is "model" (the
     invariant density at the nodes) or None (uniform weight).
     Raises ResolutionError when the spacing cannot resolve the ridge and
-    the model drift is in use, and when a jump rate is negative or not a
-    number (a drift_fn that returns NaN).
+    the model drift is in use, when fewer than 3 nodes are active (the
+    gap solver deflates one direction and needs one more to work in),
+    and when a jump rate is negative or not a number (a drift_fn that
+    returns NaN).
     """
     if weight_fn not in ("model", None):
         raise ConfigError(
@@ -335,6 +337,9 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
     R2 = sum(m * m for m in mesh)
     active = R2 > grid.excluded ** 2
     N = int(active.sum())
+    if N < 3:
+        raise ResolutionError(
+            f"the grid has {N} active nodes; a generator needs at least 3")
     nodes = np.stack([m[active] for m in mesh], axis=1)
 
     if drift_fn == "model":
@@ -782,11 +787,11 @@ class RadialScan:
     eps_part_max: np.ndarray    # max over angles of (eps^2/r)(1 + grad R . x)
     bound: float                # -eps^2 C_tilde / 2
     r1_hat: float               # smallest radius past which max_gu <= bound
-    C: float                    # given, or the exact sup |grad ln T|
+    C: float                    # the exact sup |grad ln T|
     C_tilde: float              # (mu - eps^2 lam C) / (eps^2 lam)
 
 
-def osmotic_radial_scan(p: PhysParams, radii, C=None) -> RadialScan:
+def osmotic_radial_scan(p: PhysParams, radii) -> RadialScan:
     """Scan G_u |x| = (eps^2/2|x|)(2 + 2 grad R . x + grad ln T . x).
 
     Evaluates the osmotic generator applied to the radius on a 48 x 48
@@ -797,26 +802,21 @@ def osmotic_radial_scan(p: PhysParams, radii, C=None) -> RadialScan:
     the last one whose maximum exceeds -eps^2 C_tilde/2 (radii[0] if
     none does, inf if the largest does).
 
-    C stands in for sup |grad ln T|, and C_tilde =
-    (mu - eps^2 lam C)/(eps^2 lam) must be positive, so 0 < C <
-    mu/(eps^2 lam).  A given C outside that range raises ConfigError.
-    With C None it is the exact sup, :func:`sup_grad_log_tangential`;
-    outside the range the estimate fails at these params, and that
-    raises ConvergenceError.
+    C is the exact sup |grad ln T|, :func:`sup_grad_log_tangential`, and
+    C_tilde = (mu - eps^2 lam C)/(eps^2 lam) must be positive, so C <
+    mu/(eps^2 lam); otherwise the estimate fails at these params, and
+    that raises ConvergenceError.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ConfigError("radii must be non-empty, finite and positive")
     e2 = p.eps ** 2
     c_max = p.mu / (e2 * p.lam)
-    if C is None:
-        C = sup_grad_log_tangential(p)
-        if not C < c_max:
-            raise ConvergenceError(
-                f"sup |grad ln T| = {C:.4g} is not below mu/(eps^2 lam) = "
-                f"{c_max:.4g}: the radial drift estimate fails here")
-    elif not 0 < C < c_max:
-        raise ConfigError(f"need 0 < C < mu/(eps^2 lam) = {c_max:.4g}")
+    C = sup_grad_log_tangential(p)
+    if not C < c_max:
+        raise ConvergenceError(
+            f"sup |grad ln T| = {C:.4g} is not below mu/(eps^2 lam) = "
+            f"{c_max:.4g}: the radial drift estimate fails here")
     C_tilde = (p.mu - e2 * p.lam * C) / (e2 * p.lam)
     pts = _sphere_mesh(radii, 48)
     r = radii[:, None]

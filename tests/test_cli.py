@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -83,14 +84,18 @@ def test_unknown_section_key_rejected(capsys, tmp_path):
 
 
 def test_spectral_solver_keys_rejected(capsys, tmp_path):
-    # the gap solver takes no tuning options, so the config has no keys
-    # for them
-    cfg = tmp_path / "krylov.json"
-    write_json(cfg, {"spectral": {"krylov_m": 40}})
-    code, _, err = run(capsys, "field", "--config", str(cfg),
-                       "--point", "0.5,0,0")
-    assert code == 2
-    assert "krylov_m" in err
+    # neither the gap solver nor the scan takes a tuning option, so the
+    # config has no spectral section for them
+    cfg = tmp_path / "spectral.json"
+    out = tmp_path / "out"
+    for section in ({"krylov_m": 40}, {"C": 1}):
+        write_json(cfg, {"spectral": section})
+        code, stdout, err = run(capsys, "spectral", "--scan", "--config",
+                                str(cfg), "--out-dir", str(out))
+        assert code == 2
+        assert "config error: unknown config sections: ['spectral']" in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 def test_simulate_requires_seed(capsys, tmp_path):
@@ -235,9 +240,10 @@ def test_spectral_scan_csv(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    # a given C out of range is the user's input: a config error
-    (("--ecc", "0.9", "--C", "-1"), 2,
-     "config error: need 0 < C < mu/(eps^2 lam) = 11.11"),
+    # a malformed radius is the user's input: a config error, found
+    # before the estimate is checked
+    (("--ecc", "0.9", "--radii", "0"), 2,
+     "config error: radii must be non-empty, finite and positive"),
     # sup |grad ln T| out of range means the estimate fails at these params
     (("--ecc", "0.9"), 3, "domain error: sup |grad ln T| = 94.74 "),
     (("--ecc", "0.75"), 3, "domain error: sup |grad ln T| = 13.71 "),
@@ -303,8 +309,7 @@ def test_verify_quick(capsys):
     ("spectral", "--scan", "--radii", "1,5", "--no-autocorr"),
     ("spectral", "--gap", "--no-autocorr", "--eps", "0.3", "--n", "120",
      "--radii", "1,x"),
-    ("spectral", "--gap", "--no-autocorr", "--eps", "0.3", "--n", "120",
-     "--C", "0.5"),
+    ("spectral", "--scan", "--config", {"spectral": {"C": 1}}),
     ("field", "--grid", "2", "--box", "0.5,1,0.5,1", "--point", "1,a,0",
      "--out", "f.csv"),
     ("field", "--check-identities", "--n", "200", "--point", "1,a,0",
@@ -364,7 +369,7 @@ def test_ignored_flag_refused(capsys, tmp_path, monkeypatch, argv, ignored):
     ("simulate", "--n-steps", "10", "--n-paths", "2"),
     ("simulate", "--deterministic", "--n-periods", "0"),
     ("spectral", "--scan", "--radii", "1,x"),
-    ("spectral", "--scan", "--C", "-1"),
+    ("spectral", "--scan", "--radii", "1,-5"),
     ("spectral", "--gap", "--no-autocorr", "--n", "0"),
     ("measure", "--widths", "--marginal", "--seed", "1", "--samples", "abc"),
     ("measure", "--widths", "--marginal", "--seed", "1", "--samples", "100"),
@@ -446,6 +451,35 @@ def test_removed_dim_flag_rejected(capsys):
         main(["spectral", "--gap", "--no-autocorr", "--dim", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --dim 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectral", "--scan", "--C", "1"),
+    ("spectral", "--gap", "--no-autocorr", "--eps", "0.3", "--n", "120",
+     "--C", "0.5"),
+], ids=["scan", "gap"])
+def test_removed_C_flag_rejected(capsys, tmp_path, argv):
+    # C is always the exact sup |grad ln T|: argparse refuses --C as
+    # unknown, before any output directory is made
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --C" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_cli_flags_match_parser():
+    # README's CLI section names every subcommand's long options and no
+    # other, so a removed flag cannot linger there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[A-Za-z][A-Za-z0-9-]*", section))
+    subs = next(a for a in build_parser()._actions
+                if a.dest == "command").choices
+    options = {o for sp in subs.values() for a in sp._actions
+               for o in a.option_strings if o.startswith("--")}
+    assert named == options - {"--help"}
 
 
 def test_readme_cli_examples_parse():

@@ -68,6 +68,38 @@ def test_grid_validation():
             GridSpec(dim=len(box), box=box, n=10)
 
 
+@pytest.mark.parametrize("box", [(-math.inf, math.inf), (-math.inf, 1.0),
+                                 (0.0, math.inf), (-1e308, 1e308)],
+                         ids=["both", "lo", "hi", "overflow"])
+def test_grid_refuses_infinite_box(box):
+    # a non-finite width makes the uniform-spacing test compare
+    # inf - inf = NaN, which let such a box through with no node in it
+    with pytest.raises(ConfigError, match="box axis 0 needs finite"):
+        GridSpec(dim=1, box=(box,), n=10)
+
+
+@pytest.mark.parametrize("weight_fn", ["model", None])
+def test_generator_refuses_grid_without_active_nodes(weight_fn):
+    # both cells of the 2-point grid lie in the excluded ball
+    grid = GridSpec(dim=1, box=((-1.0, 1.0),), n=2, excluded=0.9)
+    with pytest.raises(ResolutionError, match="0 active nodes"):
+        build_generator(PhysParams(eps=0.2), grid, drift_fn=None,
+                        weight_fn=weight_fn)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_generator_refuses_chain_too_small_for_the_gap(n):
+    # the gap solver deflates the constants and needs one more direction:
+    # a 1- or 2-node chain is refused before it reaches ARPACK
+    with pytest.raises(ResolutionError, match=f"{n} active nodes"):
+        gap_from_matrix(build_generator(
+            PhysParams(eps=0.2), GridSpec(dim=1, box=((0.0, 1.0),), n=n),
+            drift_fn=None, weight_fn=None))
+    assert gap_from_matrix(build_generator(
+        PhysParams(eps=0.2), GridSpec(dim=1, box=((0.0, 1.0),), n=3),
+        drift_fn=None, weight_fn=None)).gap > 0
+
+
 def test_resolution_precondition():
     # the gate h < w/4 sits between n = 184 (spacing 0.02174 against the
     # 0.02165 it needs) and 185, half the default n: the default spacing
@@ -512,8 +544,7 @@ def test_stationary_vector_converges_to_weight():
 
 def test_adjoint_residual_first_order():
     p = PhysParams(ecc=0.5, eps=0.3)
-    res = [adjoint_residual(build_generator(p, production_grid_2d(p, n=n),
-                                            check_resolution=False))
+    res = [adjoint_residual(build_generator(p, production_grid_2d(p, n=n)))
            for n in (120, 240)]
     assert res[1] < res[0]
     assert res[0] / res[1] > 1.3
@@ -797,19 +828,20 @@ def test_grad_log_tangential_refuses_the_segment(xy):
 
 
 def test_radial_scan_C_bounds(p):
-    c_max = p.mu / (p.eps ** 2 * p.lam)
-    for C in (0.0, -1.0, c_max, c_max + 1):
-        with pytest.raises(ConfigError, match="need 0 < C"):
-            osmotic_radial_scan(p, [1.0, 10.0], C=C)
-    scan = osmotic_radial_scan(p, [1.0, 10.0], C=2.0)
-    assert scan.C == 2.0
-    assert scan.C_tilde == pytest.approx((p.mu - p.eps ** 2 * p.lam * 2.0)
+    # C is the exact sup |grad ln T|, not an input: a smaller one would
+    # make the bound certify nothing
+    with pytest.raises(TypeError, match="'C'"):
+        osmotic_radial_scan(p, [1.0, 10.0], C=2.0)
+    scan = osmotic_radial_scan(p, [1.0, 10.0])
+    assert scan.C == sup_grad_log_tangential(p)
+    assert scan.C < p.mu / (p.eps ** 2 * p.lam)
+    assert scan.C_tilde == pytest.approx((p.mu - p.eps ** 2 * p.lam * scan.C)
                                          / (p.eps ** 2 * p.lam))
     assert scan.bound == -p.eps ** 2 * scan.C_tilde / 2
 
 
 def test_scan_rows_format(p):
-    scan = osmotic_radial_scan(p, [1.0, 10.0], C=2.0)
+    scan = osmotic_radial_scan(p, [1.0, 10.0])
     # the scan CSV's rows are (r, max_Gu, bound): one radius and one
     # maximum per row, the same bound on each
     assert scan.radii.tolist() == [1.0, 10.0]
