@@ -42,14 +42,18 @@ class CriterionResult:
         return f"[{flag}] {self.cid} {self.name}: {self.details} ({self.elapsed:.1f}s)"
 
 
-def _sample_box(p: PhysParams, n):
-    """Quasi-random points (Halton, seed 7) in [-4a, 4a]^3 minus the
-    origin ball and a tube around the drift jump set."""
+def _halton_unit(n):
+    """The 3n unit-cube Halton points (seed 7) behind :func:`_sample_box`."""
     # imported here, its only use: scipy.stats would otherwise be about
     # half of every kepdiff process's import time
     from scipy.stats import qmc
-    eng = qmc.Halton(d=3, seed=7)
-    pts = (eng.random(3 * n) - 0.5) * 8 * p.a
+    return qmc.Halton(d=3, seed=7).random(3 * n)
+
+
+def _sample_box(p: PhysParams, n, unit):
+    """n points in [-4a, 4a]^3 minus the origin ball and a tube around
+    the drift jump set, scaled from the unit sample ``_halton_unit(n)``."""
+    pts = (unit - 0.5) * 8 * p.a
     r = np.linalg.norm(pts, axis=1)
     keep = r > 0.05 * p.a
     keep &= ~fields.near_jump_set(p, pts, 0.02 * p.a)
@@ -65,14 +69,15 @@ IDENTITY_ENERGY_TOL = 1e-9
 IDENTITY_ORTH_TOL = 1e-8
 
 
-def identity_residuals(p: PhysParams, n=10_000):
+def identity_residuals(p: PhysParams, n=10_000, unit=None):
     """C1's worst energy residual and gradient orthogonality for one p.
 
-    Samples n points with :func:`_sample_box`; the energy residual is
-    |Z.Z/2 - mu/|x| - E| / |E| and the orthogonality is the cosine
+    Samples n points with :func:`_sample_box` from unit, a
+    ``_halton_unit(n)`` draw made here unless given; the energy residual
+    is |Z.Z/2 - mu/|x| - E| / |E| and the orthogonality is the cosine
     between grad R and grad S.
     """
-    pts = _sample_box(p, n)
+    pts = _sample_box(p, n, _halton_unit(n) if unit is None else unit)
     z = fields.complex_velocity(p, pts)
     r = np.linalg.norm(pts, axis=1)
     en = np.abs(0.5 * np.sum(z * z, axis=1) - p.mu / r - p.energy) / -p.energy
@@ -86,9 +91,11 @@ def identity_residuals(p: PhysParams, n=10_000):
 def criterion_1():
     """Identity suite: energy residual and gradient orthogonality."""
     worst_en, worst_orth = 0.0, 0.0
+    n = 10_000
+    unit = _halton_unit(n)
     for e in ECCS:
         en, orth = identity_residuals(PhysParams(lam=1.0, mu=1.0, ecc=e,
-                                                 eps=0.1))
+                                                 eps=0.1), n, unit)
         worst_en = max(worst_en, en)
         worst_orth = max(worst_orth, orth)
     ok = worst_en < IDENTITY_ENERGY_TOL and worst_orth < IDENTITY_ORTH_TOL
@@ -131,7 +138,7 @@ def criterion_3():
         tg = measure.tangential_factor(e, vs) * measure.laplace_weight(e, vs)
         ident = (1 - e * e) * (1 - e * np.cos(vs))
         worst_tg = max(worst_tg, float(np.max(np.abs(tg - ident))))
-        quad = adaptive_quad(lambda v: float(measure.laplace_weight(e, v)),
+        quad = adaptive_quad(lambda v: measure.laplace_weight(e, v),
                              0.0, 2 * math.pi, tol=1e-12)
         closed_i = measure.laplace_weight_integral(e)
         worst_norm = max(worst_norm, abs(quad - closed_i) / closed_i)

@@ -58,8 +58,10 @@ def as_points(pt):
 
 
 def radius(pt):
-    """Euclidean norm |x| over the last axis."""
-    return np.sqrt(np.sum(pt * pt, axis=-1))
+    """Euclidean norm |x| of points of shape (..., 3), summed as in
+    :func:`_nodal`."""
+    XX = pt * pt
+    return np.sqrt(XX[..., 0] + XX[..., 1] + XX[..., 2])
 
 
 def _check_origin(p: PhysParams, r):

@@ -664,7 +664,10 @@ def default_bump(p: PhysParams, width=None):
     W = width if width is not None else 0.4 * p.a
 
     def f(pts):
-        d2 = np.sum((pts - c[: pts.shape[-1]]) ** 2, axis=-1)
+        dd = (pts - c[: pts.shape[-1]]) ** 2
+        d2 = dd[..., 0] + dd[..., 1]
+        if dd.shape[-1] == 3:
+            d2 = d2 + dd[..., 2]
         t = 1.0 - d2 / W ** 2
         return np.where(t > 0, t, 0.0) ** 3
 

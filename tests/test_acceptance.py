@@ -13,7 +13,8 @@ regression-guarded by test_sde.test_convergence_fraction_reference.
 
 import pytest
 
-from kepdiff import acceptance
+from conftest import assert_bitwise_equal
+from kepdiff import PhysParams, acceptance
 
 
 def _run(cid):
@@ -25,6 +26,19 @@ def _run(cid):
 
 def test_criterion_1_identity_suite():
     assert _run("C1").passed
+
+
+def test_criterion_1_shared_draw_gives_fresh_draws_points():
+    # C1 draws the Halton sample once for its five eccentricities
+    n = 10_000
+    unit = acceptance._halton_unit(n)
+    kept = unit.copy()
+    for e in acceptance.ECCS:
+        p = PhysParams(lam=1.0, mu=1.0, ecc=e, eps=0.1)
+        assert_bitwise_equal(acceptance._sample_box(p, n, unit),
+                             acceptance._sample_box(
+                                 p, n, acceptance._halton_unit(n)))
+    assert_bitwise_equal(unit, kept)
 
 
 def test_criterion_2_kepler_velocity():

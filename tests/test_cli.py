@@ -52,6 +52,17 @@ def test_field_check_identities(capsys):
     assert doc["max_orthogonality"] < 1e-8
 
 
+def test_field_check_identities_bytes(capsys):
+    # the CLI draws its own Halton sample (C1 shares one between its
+    # eccentricities); the JSON is pinned to the byte
+    code, out, _ = run(capsys, "field", "--check-identities", "--n", "2000")
+    assert code == 0
+    assert out == (
+        '{"config": {"a": 1.0, "ecc": 0.5, "eps": 0.1, "lambda": 1.0, '
+        '"mu": 1.0}, "max_energy_residual": 1.7235296186091125e-15, '
+        '"max_orthogonality": 1.926641556750523e-15, "n_points": 2000}\n')
+
+
 def test_field_grid_table(capsys, tmp_path):
     out_csv = tmp_path / "grid.csv"
     code, out, _ = run(capsys, "field", "--grid", "8", "--box=-2,1,-1,1",

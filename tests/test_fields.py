@@ -12,7 +12,7 @@ from kepdiff import (BranchPointWarning, PhysParams, SingularPointError,
                      jump_interval, in_jump_set, kepler_speed,
                      nodal_coordinate, wave_gradients)
 from kepdiff.fields import (JUMP_MESH, drift_components, field_report,
-                            near_jump_set)
+                            near_jump_set, radius)
 from kepdiff.sde import default_drift_cap
 
 from conftest import (assert_bitwise_equal, near_jump_set_points,
@@ -24,6 +24,11 @@ SQ3 = math.sqrt(3.0)
 # ---------------------------------------------------------------------------
 # nodal coordinate
 # ---------------------------------------------------------------------------
+
+def test_radius_keeps_the_reduction_bits():
+    pts = random_points(500, seed=4).reshape(5, 100, 3)
+    assert_bitwise_equal(radius(pts), np.sqrt(np.sum(pts * pts, axis=-1)))
+
 
 def test_nodal_coordinate_perihelion(p):
     assert nodal_coordinate(p, [0.5, 0.0, 0.0]) == pytest.approx(-0.5 + 0j)

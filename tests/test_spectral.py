@@ -573,6 +573,18 @@ def test_dirichlet_constant_function(model_gen):
     assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.residual == 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_default_bump_keeps_the_reduction_bits(dim):
+    p = PhysParams(ecc=0.5, eps=0.3)
+    W = 0.4 * p.a
+    c = ellipse_point(p, 0.0)[:dim]
+    pts = c + np.random.default_rng(dim).uniform(-W, W, (40, 30, dim))
+    t = 1.0 - np.sum((pts - c) ** 2, axis=-1) / W ** 2
+    want = np.where(t > 0, t, 0.0) ** 3
+    assert np.count_nonzero(want) > 100
+    assert_bitwise_equal(default_bump(p)(pts), want)
+
+
 def _clipped_ramp(p):
     bump = default_bump(p, width=0.5 * p.a)
     return lambda xy: xy[..., 0] * bump(xy)
