@@ -10,8 +10,8 @@ require an explicit --seed (no wall-clock seeding anywhere).
 section's only key, n.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(malformed input, or too few samples for the requested statistic),
-3 domain or singularity error, 4 I/O error.
+(malformed input, too few samples for the requested statistic, or a run
+that does not fit in memory), 3 domain or singularity error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -69,11 +69,16 @@ _KEYS = {
     "grid": {"n": _INT},
     "output": {"dir": _TEXT, "prefix": _TEXT},
 }
+#: Config keys whose flag (and PhysParams field) has another name.
+_FLAG_NAMES = {"lambda": "lam"}
 
 
 def load_config(path):
     """The config document, checked: known sections and keys only, each
-    value of its key's type.  A null value counts as not given."""
+    value of its key's type.  A null value counts as not given; with no
+    path every section is empty."""
+    if path is None:
+        return {sec: {} for sec in _KEYS}
     try:
         cfg = read_json(path)
     except ValueError as exc:  # bad JSON or bytes that are not UTF-8
@@ -99,49 +104,39 @@ def load_config(path):
     return cfg
 
 
-def _params_from(cfg, args):
-    given = {}
-    for flag, key in (("lam", "lambda"), ("mu", "mu"), ("ecc", "ecc"),
-                      ("eps", "eps")):
-        val = getattr(args, flag, None)
-        if val is None:
-            val = cfg.get("params", {}).get(key)
-        if val is not None:
-            given[flag] = val
-    return PhysParams(**given)
-
-
-def _x0_from(spec):
-    if spec is None:
-        return None
-    if isinstance(spec, dict):
-        ring = spec["ring"]
-        return sde.RingStart(float(ring["radius"]), float(ring.get("z", 0.0)))
-    return [float(v) for v in spec]
+def _given(cfg, sec, args):
+    """Section sec of cfg keyed by flag name, with each of its keys'
+    flags that was given on the command line laid over it."""
+    body = {_FLAG_NAMES.get(k, k): v for k, v in cfg[sec].items()}
+    for key in _KEYS[sec]:
+        flag = _FLAG_NAMES.get(key, key)
+        if getattr(args, flag, None) is not None:
+            body[flag] = getattr(args, flag)
+    return body
 
 
 def _sim_config(cfg, args, p):
-    sec = dict(cfg.get("sim", {}))
-    for flag, key in (("dt", "dt"), ("n_steps", "n_steps"),
-                      ("n_paths", "n_paths"), ("seed", "seed"),
-                      ("record_stride", "record_stride")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            sec[key] = val
-    if sec.get("seed") is None:
+    sec = _given(cfg, "sim", args)
+    if "seed" not in sec:
         raise ConfigError("stochastic commands require --seed "
                           "(no wall-clock seeding)")
-    kwargs = {k: sec[k] for k in
-              ("dt", "n_steps", "n_paths", "seed", "drift_cap",
-               "record_stride") if k in sec}
-    return sde.SimConfig(params=p, x0=_x0_from(sec.get("x0")), **kwargs)
+    x0 = sec.pop("x0", None)
+    if isinstance(x0, dict):
+        ring = x0["ring"]
+        x0 = sde.RingStart(float(ring["radius"]), float(ring.get("z", 0.0)))
+    elif x0 is not None:
+        x0 = [float(v) for v in x0]
+    return sde.SimConfig(params=p, x0=x0, **sec)
 
 
 def _out_dir(cfg, args):
-    """The output directory (made here) and file prefix; called after every
-    input check, so a refused command leaves nothing behind."""
-    sec = cfg.get("output", {})
-    d = getattr(args, "out_dir", None) or sec.get("dir", ".")
+    """The output directory (made here; an empty name is refused) and file
+    prefix; called after every input check, so a refused command leaves
+    nothing behind."""
+    sec = cfg["output"]
+    d = sec.get("dir", ".") if args.out_dir is None else args.out_dir
+    if not d:
+        raise ConfigError("the output directory is empty (use '.')")
     os.makedirs(d, exist_ok=True)
     return d, sec.get("prefix", "")
 
@@ -186,12 +181,13 @@ def _refuse(mode, args, *flags, extra=()):
 def cmd_field(args):
     # field prints, or writes --grid's table to --out
     _refuse("field", args, "--out-dir")
-    cfg = load_config(args.config) if args.config else {}
-    p = _params_from(cfg, args)
+    cfg = load_config(args.config)
+    p = PhysParams(**_given(cfg, "params", args))
     if args.check_identities:
         _refuse("--check-identities", args, "--point", "--grid", "--box",
                 "--z", "--out")
-        n = 10_000 if args.n is None else _at_least_one("--n", args.n)
+        n = acceptance.IDENTITY_SAMPLES if args.n is None \
+            else _at_least_one("--n", args.n)
         en, orth = acceptance.identity_residuals(p, n)
         print(json.dumps({"config": p.as_dict(), "n_points": n,
                           "max_energy_residual": en,
@@ -234,12 +230,12 @@ def cmd_field(args):
 
 
 def cmd_simulate(args):
-    cfg = load_config(args.config) if args.config else {}
-    p = _params_from(cfg, args)
+    cfg = load_config(args.config)
+    p = PhysParams(**_given(cfg, "params", args))
     # a preset fixes the run: flags and config values shaping it are
     # refused, and only --deterministic reads --n-periods
     preset = ("--dt", "--n-steps", "--n-paths", "--record-stride")
-    sim_section = ["the config's sim section"] if cfg.get("sim") else []
+    sim_section = ["the config's sim section"] if cfg["sim"] else []
     if args.deterministic:
         _refuse("--deterministic", args, *preset, "--figure1", "--seed",
                 extra=sim_section)
@@ -283,8 +279,8 @@ def cmd_simulate(args):
 
 
 def cmd_measure(args):
-    cfg = load_config(args.config) if args.config else {}
-    p = _params_from(cfg, args)
+    cfg = load_config(args.config)
+    p = PhysParams(**_given(cfg, "params", args))
     if not (args.marginal or args.widths):
         raise ConfigError("measure wants --marginal and/or --widths")
     if not args.marginal:
@@ -334,8 +330,8 @@ def cmd_measure(args):
 
 
 def cmd_spectral(args):
-    cfg = load_config(args.config) if args.config else {}
-    p = _params_from(cfg, args)
+    cfg = load_config(args.config)
+    p = PhysParams(**_given(cfg, "params", args))
     if not (args.scan or args.gap):
         raise ConfigError("spectral wants --gap or --scan")
     # each mode refuses the other's flags; config sections pass, as one
@@ -364,8 +360,7 @@ def cmd_spectral(args):
     elif args.seed is None:
         raise ConfigError("--gap with autocorrelation requires --seed "
                           "(pass --no-autocorr to skip)")
-    n = cfg.get("grid", {}).get("n") if args.n is None else args.n
-    grid = spectral.production_grid_2d(p, n=n)
+    grid = spectral.production_grid_2d(p, n=_given(cfg, "grid", args).get("n"))
     G = spectral.build_generator(p, grid)  # the resolution gate on n
     out_dir, prefix = _out_dir(cfg, args)
     res = spectral.gap_from_matrix(G)
@@ -470,6 +465,10 @@ def main(argv=None):
         return args.func(args)
     except (ConfigError, InsufficientSamplesError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size asked for
+        print(f"config error: {exc}; the run does not fit in memory",
+              file=sys.stderr)
         return 2
     except (SingularPointError, NodeError, ResolutionError,
             ConvergenceError) as exc:

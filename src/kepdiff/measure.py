@@ -33,9 +33,6 @@ from .specfun import log_amplitude
 #: effective width eps |R''|^{-1/2}.  Frozen; see module docstring.
 GAUSS_WIDTH_FACTOR = 1.0 / math.sqrt(2.0)
 
-#: Absolute tolerance of the in-repo quadrature behind the ODE form of T.
-QUAD_TOL = 1e-12
-
 #: Eccentric-angle windows of :func:`z_spread_by_angle`, and the fewest
 #: samples a window needs to be reported.
 Z_SPREAD_WINDOWS = 8
@@ -77,7 +74,7 @@ def tangential_factor_ode_grid(e, vs):
     if np.any(np.diff(vs) < 0):
         raise ConfigError("grid must be non-decreasing")
     segs = adaptive_quad(lambda t: tangential_log_slope(e, t),
-                         np.concatenate([[0.0], vs[:-1]]), vs, tol=QUAD_TOL)
+                         np.concatenate([[0.0], vs[:-1]]), vs)
     return np.exp(np.cumsum(segs))
 
 

@@ -1,9 +1,9 @@
 """Small adaptive quadrature utility.
 
-Adaptive Simpson with Richardson correction; plenty for the smooth
-periodic integrands that appear in the measure module.  Kept in-repo so
-the dual closed-form / quadrature checks do not share an implementation
-with any library routine used as a test oracle.
+Adaptive Simpson with Richardson correction to the absolute tolerance
+TOL; plenty for the smooth periodic integrands of the measure module.
+Kept in-repo so the dual closed-form / quadrature checks do not share an
+implementation with any library routine used as a test oracle.
 
 The integrand is vectorised: bisection runs breadth first, one call of f
 per level for every interval of a batch, with the depth-first
@@ -15,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ConvergenceError
+
+#: Absolute tolerance of every integral :func:`adaptive_quad` returns.
+TOL = 1e-12
 
 #: Bisection depth at which :func:`adaptive_quad` gives up.
 MAX_DEPTH = 48
@@ -37,14 +40,14 @@ def _values(f, x):
     return y
 
 
-def adaptive_quad(f, a, b, tol=1e-12):
-    """Integrate f on [a, b] to absolute tolerance tol.
+def adaptive_quad(f, a, b):
+    """Integrate f on [a, b] to absolute tolerance TOL.
 
     f maps a 1-d array of abscissae to the integrand's values there.  a
     and b broadcast against each other, one integral per interval:
     scalar ends give a float, other ends an array of their broadcast
     shape.  Each interval is bisected until the Simpson estimates of
-    its halves agree with the whole to 15 tol, the tolerance halving
+    its halves agree with the whole to 15 TOL, the tolerance halving
     with each level; a reversed interval gives the negated integral.
     Raises ConvergenceError when f returns a non-finite value, or when
     an interval still needs bisecting after MAX_DEPTH levels or after
@@ -60,7 +63,7 @@ def adaptive_quad(f, a, b, tol=1e-12):
         fa, fb, fm = np.split(_values(f, np.concatenate([a, b, m])), 3)
         whole = _simpson(a, fa, b, fb, fm)
         levels = []  # per level: the nodes' leaf values, the nodes split
-        bisections = 0
+        bisections, tol = 0, TOL
         for depth in range(MAX_DEPTH, -1, -1):
             lm = 0.5 * (a + m)
             rm = 0.5 * (m + b)

@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (drift_components, elliptic_uv, in_jump_set,
-                     jump_distance_many)
+                     jump_distance_many, radius)
 from .parallel import imap, shard_count, shard_ranges
 from .params import ConfigError, ConvergenceError, PhysParams
 
@@ -247,14 +247,13 @@ class _LaneTable:
     """The lanes of one run of one or more configurations.
 
     Per lane, a (lanes,) array of: the fields of its config's
-    PhysParams that the field kernels read (ecc, axis_ratio,
-    nodal_scale, drift_scale and a), so that the table stands in for a
-    PhysParams there, its constants made once and not on every step; its
-    noise scale eps sqrt(dt), drift cap and origin radius 1e-8 a; its
-    Philox key (seed, path), path being its index in its config; the
-    index of its config in cfgs; and, in x0, its start point (a
-    (lanes, 3) array).  A config's lanes are contiguous and in path
-    order.  dt, n_steps and stride are shared.
+    PhysParams that the field kernels read (_PARAM_FIELDS), so that the
+    table stands in for a PhysParams there, its constants made once and
+    not on every step; its noise scale eps sqrt(dt), drift cap and
+    origin radius 1e-8 a; its Philox key (seed, path), path being its
+    index in its config; the index of its config in cfgs; and, in x0,
+    its start point (a (lanes, 3) array).  A config's lanes are
+    contiguous and in path order.  dt, n_steps and stride are shared.
     """
 
     cfgs: tuple
@@ -294,11 +293,8 @@ class _LaneTable:
         ps = [c.params for c in cfgs]
         return cls(
             cfgs=cfgs,
-            ecc=per_lane([p.ecc for p in ps]),
-            axis_ratio=per_lane([p.axis_ratio for p in ps]),
-            nodal_scale=per_lane([p.nodal_scale for p in ps]),
-            drift_scale=per_lane([p.drift_scale for p in ps]),
-            a=per_lane([p.a for p in ps]),
+            **{f: per_lane([getattr(p, f) for p in ps])
+               for f in _PARAM_FIELDS},
             scale=per_lane([p.eps * sdt for p in ps]),
             cap=per_lane([c.drift_cap for c in cfgs]),
             origin_r=per_lane([1e-8 * p.a for p in ps]),
@@ -326,8 +322,11 @@ class _LaneTable:
                 for lo, hi in zip(bounds, bounds[1:])]
 
 
-_LANE_FIELDS = ("ecc", "axis_ratio", "nodal_scale", "drift_scale", "a",
-                "scale", "cap", "origin_r", "seed", "path", "config", "x0")
+#: The lane table's per-lane arrays: the PhysParams fields the field
+#: kernels read, then the lane's own values.
+_PARAM_FIELDS = ("ecc", "axis_ratio", "nodal_scale", "drift_scale", "a")
+_LANE_FIELDS = (*_PARAM_FIELDS, "scale", "cap", "origin_r", "seed", "path",
+                "config", "x0")
 
 
 def simulate_ensemble(cfg: SimConfig) -> TrajectoryEnsemble:
@@ -449,7 +448,7 @@ def _run_steps(table):
     n_paths = table.n_lanes
     n_rec = n_steps // stride + 1
     with np.errstate(all="ignore"):  # finite starts whose squares overflow
-        r0 = np.sqrt(np.sum(X0 * X0, axis=1))
+        r0 = radius(X0)
     truncate_step = np.where(r0 >= origin_r, -1, 0).astype(np.int64)
     gens = [np.random.Generator(np.random.Philox(key=[seed, i]))
             for seed, i in zip(table.seed.tolist(), table.path.tolist())]

@@ -40,7 +40,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .fields import (drift, drift_components, eccentric_angle, ellipse_point,
-                     in_jump_set, jump_interval, wave_gradients)
+                     in_jump_set, jump_interval, radius, wave_gradients)
 from .measure import (cross_section_widths, log_invariant_density,
                       tangential_log_slope)
 from .params import (ConfigError, ConvergenceError, InsufficientSamplesError,
@@ -290,17 +290,17 @@ class GeneratorMatrix:
                 "is strongly connected") from exc
 
 
-def _model_drift_nd(p: PhysParams, nodes, dim):
+def _model_drift_nd(p: PhysParams, nodes):
     X = np.zeros((3, nodes.shape[0]))
-    X[:dim] = nodes.T
+    X[:nodes.shape[1]] = nodes.T
     with np.errstate(all="ignore"):
         B = drift_components(p, X)
-    return np.nan_to_num(B[:dim]).T
+    return np.nan_to_num(B[:nodes.shape[1]]).T
 
 
-def _model_weight(p: PhysParams, nodes, dim):
+def _model_weight(p: PhysParams, nodes):
     pts = np.zeros((nodes.shape[0], 3))
-    pts[:, :dim] = nodes
+    pts[:, :nodes.shape[1]] = nodes
     with np.errstate(all="ignore"):
         lw = log_invariant_density(p, pts)
     lw = np.where(np.isfinite(lw), lw, -np.inf)
@@ -313,18 +313,19 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
                     weight_fn="model", check_resolution=True) -> GeneratorMatrix:
     """Assemble the upwind discrete generator on the active nodes.
 
-    drift_fn defaults to the model drift; pass a callable (or None for
-    zero drift) to build control problems.  weight_fn is "model" (the
-    invariant density at the nodes) or None (uniform weight).
-    Raises ResolutionError when the spacing cannot resolve the ridge and
-    the model drift is in use, when fewer than 3 nodes are active (the
-    gap solver deflates one direction and needs one more to work in),
-    and when a jump rate is negative or not a number (a drift_fn that
-    returns NaN).
+    drift_fn is "model" (the model drift) or None (zero drift, for the
+    Neumann control problems); weight_fn is "model" (the invariant
+    density at the nodes) or None (uniform weight).  Any other value
+    raises ConfigError.  Raises ResolutionError when the spacing cannot
+    resolve the ridge and the model drift is in use, when fewer than 3
+    nodes are active (the gap solver deflates one direction and needs
+    one more to work in), and when a jump rate is negative or not a
+    number, which would void the M-matrix argument of ``pinned_lu``.
     """
-    if weight_fn not in ("model", None):
-        raise ConfigError(
-            f"weight_fn must be 'model' or None, got {weight_fn!r}")
+    for name, value in (("drift_fn", drift_fn), ("weight_fn", weight_fn)):
+        if value not in ("model", None):
+            raise ConfigError(
+                f"{name} must be 'model' or None, got {value!r}")
     h = grid.h
     if check_resolution and drift_fn == "model":
         wmin = min_effective_width(p)
@@ -342,12 +343,10 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
             f"the grid has {N} active nodes; a generator needs at least 3")
     nodes = np.stack([m[active] for m in mesh], axis=1)
 
-    if drift_fn == "model":
-        b = _model_drift_nd(p, nodes, grid.dim)
-    elif drift_fn is None:
+    if drift_fn is None:
         b = np.zeros((N, grid.dim))
     else:
-        b = np.asarray(drift_fn(nodes), dtype=float).reshape(N, grid.dim)
+        b = _model_drift_nd(p, nodes)
 
     D = p.eps ** 2 / (2 * h * h)
     flat, = np.nonzero(active.ravel())
@@ -380,7 +379,7 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
     if weight_fn is None:
         w = np.full(N, 1.0 / N)
     else:
-        w = _model_weight(p, nodes, grid.dim)
+        w = _model_weight(p, nodes)
 
     return GeneratorMatrix(matrix=Q, weight=w, nodes=nodes, grid=grid,
                            params=p, interior=interior)
@@ -537,7 +536,7 @@ def adjoint_residual(G: GeneratorMatrix):
     y = pts[:, 1]
     z = pts[:, 2]
     near_jump = (np.abs(y) <= 1.5 * h) & in_jump_set(p, x, z, pad=2 * h)
-    r = np.sqrt(np.sum(pts * pts, axis=1))
+    r = radius(pts)
     mask = G.interior & ~near_jump & (r > G.grid.excluded + 2 * h) \
         & np.isfinite(lap_s)
     resid = np.abs(G.matrix.T @ rho + lap_s * rho)
@@ -721,8 +720,8 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
         return DirichletCheck(lhs=0.0, rhs=0.0, residual=0.0)
     C, fx, fy, lap = C[keep], fx[keep], fy[keep], lap[keep]
     nodes = pts[1:-1, 1:-1][keep]
-    bx, by = _model_drift_nd(p, nodes, 2).T
-    w = _model_weight(p, nodes, 2)
+    bx, by = _model_drift_nd(p, nodes).T
+    w = _model_weight(p, nodes)
     Gf = 0.5 * p.eps ** 2 * lap + bx * fx + by * fy
     lhs = -float(np.sum(w * C * Gf))
     rhs = 0.5 * p.eps ** 2 * float(np.sum(w * (fx * fx + fy * fy)))

@@ -18,10 +18,8 @@ from kepdiff import PhysParams, acceptance
 
 
 def _run(cid):
-    res = acceptance.run_acceptance((cid,), printer=None)[0]
     print()
-    print(res.line())
-    return res
+    return acceptance.run_acceptance((cid,))[0]
 
 
 def test_criterion_1_identity_suite():
@@ -30,7 +28,7 @@ def test_criterion_1_identity_suite():
 
 def test_criterion_1_shared_draw_gives_fresh_draws_points():
     # C1 draws the Halton sample once for its five eccentricities
-    n = 10_000
+    n = acceptance.IDENTITY_SAMPLES
     unit = acceptance._halton_unit(n)
     kept = unit.copy()
     for e in acceptance.ECCS:

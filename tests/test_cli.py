@@ -394,6 +394,36 @@ def test_refused_command_leaves_no_out_dir(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_out_dir_refused(capsys, tmp_path, monkeypatch, source):
+    # an empty name is refused, not read as the current directory
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        argv = ("--out-dir", "")
+    else:
+        write_json(tmp_path / "config.json", {"output": {"dir": ""}})
+        argv = ("--config", str(tmp_path / "config.json"))
+    code, stdout, err = run(capsys, "measure", "--widths", "--bins", "4",
+                            *argv)
+    assert code == 2
+    assert "config error" in err and "output directory is empty" in err
+    assert stdout == ""
+    assert not (tmp_path / "widths.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--seed", "1", "--n-steps", str(10 ** 18), "--n-paths", "1"),
+    ("measure", "--marginal", "--samples", "1e17", "--seed", "1"),
+], ids=["simulate", "measure"])
+def test_run_beyond_memory_exit_code(capsys, tmp_path, argv):
+    # both requests exceed the address space: numpy refuses them at
+    # once, allocating nothing
+    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("config error") and "does not fit in memory" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("content, code, message", [
     (b'{"params": {"ecc": 0.5,}}', 2, "config error"),   # a trailing comma
     (b'{"output": {"prefix": "\xff"}}', 2, "config error"),   # not UTF-8

@@ -6,7 +6,7 @@ import pytest
 from conftest import assert_bitwise_equal
 from kepdiff import ConvergenceError, measure, quadrature
 from kepdiff.acceptance import ECCS
-from kepdiff.quadrature import MAX_DEPTH, adaptive_quad
+from kepdiff.quadrature import MAX_DEPTH, TOL, adaptive_quad
 
 C3_GRID = np.linspace(0, 2 * np.pi, 721)
 
@@ -32,7 +32,7 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
             + _adapt(f, m, fm, b, fb, rm, frm, right, half, depth - 1))
 
 
-def depth_first_quad(f, a, b, tol=1e-12):
+def depth_first_quad(f, a, b):
     """The depth-first recursion over scalars (test oracle), forward
     intervals only."""
     a = float(a)
@@ -43,7 +43,7 @@ def depth_first_quad(f, a, b, tol=1e-12):
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(a, fa, b, fb, fm)
-    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, MAX_DEPTH)
+    return _adapt(f, a, fa, b, fb, m, fm, whole, TOL, MAX_DEPTH)
 
 
 class CountingIntegrand:
@@ -101,8 +101,7 @@ def test_batch_equals_one_interval_at_a_time():
 def test_bitwise_equal_to_depth_first_recursion_on_c3_integrands(e):
     # the ODE grid of C3 and its full-turn normalisation integral
     segs = [depth_first_quad(
-                lambda t: float(measure.tangential_log_slope(e, t)),
-                lo, hi, tol=measure.QUAD_TOL)
+                lambda t: float(measure.tangential_log_slope(e, t)), lo, hi)
             for lo, hi in zip([0.0, *C3_GRID[:-1].tolist()],
                               C3_GRID.tolist())]
     assert_bitwise_equal(measure.tangential_factor_ode_grid(e, C3_GRID),

@@ -149,26 +149,38 @@ def test_weight_fn_other_than_model_or_none_refused():
                         check_resolution=False)
 
 
-def test_nan_drift_rejected():
+def test_drift_fn_other_than_model_or_none_refused():
+    with pytest.raises(ConfigError, match="drift_fn"):
+        build_generator(PhysParams(eps=0.2),
+                        GridSpec(dim=1, box=((0.0, 1.0),), n=50),
+                        drift_fn=lambda nodes: np.zeros((len(nodes), 1)),
+                        weight_fn=None)
+
+
+# The next two tests stand a drift in for the model's; their grid's
+# spacing 0.02 clears the resolution gate (w/4 is about 0.043 at eps 0.2).
+
+def test_nan_drift_rejected(monkeypatch):
     # NaN < 0 is False, so only a check that every rate is >= 0 sees it
-    def drift_fn(nodes):
+    def drift_nd(p, nodes):
         b = np.full((len(nodes), 1), 0.3)
         b[len(nodes) // 2] = np.nan
         return b
 
+    monkeypatch.setattr(spectral, "_model_drift_nd", drift_nd)
     with pytest.raises(ResolutionError, match="NaN"):
         build_generator(PhysParams(eps=0.2),
                         GridSpec(dim=1, box=((0.0, 1.0),), n=50),
-                        drift_fn=drift_fn, weight_fn=None,
-                        check_resolution=False)
+                        weight_fn=None)
 
 
-def test_constant_drift_exact_on_linear_ramp():
+def test_constant_drift_exact_on_linear_ramp(monkeypatch):
     p = PhysParams(eps=0.2)
     c = 0.7
+    monkeypatch.setattr(spectral, "_model_drift_nd",
+                        lambda p, nodes: np.full((len(nodes), 1), c))
     G = build_generator(p, GridSpec(dim=1, box=((0.0, 1.0),), n=50),
-                        drift_fn=lambda nodes: np.full((len(nodes), 1), c),
-                        weight_fn=None, check_resolution=False)
+                        weight_fn=None)
     f = G.nodes[:, 0].copy()
     out = G.matrix @ f
     interior = G.interior
@@ -634,8 +646,8 @@ def _dirichlet_full_mesh(p, grid, f):
     lap = (F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]
            - 4 * C) / (h * h)
     nodes = pts[1:-1, 1:-1].reshape(-1, 2)
-    bx, by = _model_drift_nd(p, nodes, 2).T.reshape(2, *C.shape)
-    w = _model_weight(p, nodes, 2).reshape(C.shape)
+    bx, by = _model_drift_nd(p, nodes).T.reshape(2, *C.shape)
+    w = _model_weight(p, nodes).reshape(C.shape)
     Gf = 0.5 * p.eps ** 2 * lap + bx * fx + by * fy
     lhs = -float(np.sum(w * C * Gf))
     rhs = 0.5 * p.eps ** 2 * float(np.sum(w * (fx * fx + fy * fy)))
