@@ -220,10 +220,14 @@ class GeneratorMatrix:
     :func:`stationary_vector`), and without the sigma_z cross-section
     factor that integrating the density over z would bring.  It picks
     the pinned row and weights the norm of the gap's eigen-residual.
+    ``model_weight`` records whether ``build_generator`` chose that
+    ansatz or a uniform weight; the weight itself is computed on first
+    read, so a caller that never reads it (the adjoint check) never pays
+    for the ansatz.
     """
 
     matrix: sp.csr_matrix
-    weight: np.ndarray
+    model_weight: bool
     nodes: np.ndarray          # (N, dim)
     grid: GridSpec
     params: PhysParams
@@ -232,6 +236,13 @@ class GeneratorMatrix:
     @property
     def n_nodes(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def weight(self):
+        """The normalised weight on the nodes, computed once."""
+        if not self.model_weight:
+            return np.full(self.n_nodes, 1.0 / self.n_nodes)
+        return _model_weight(self.params, self.nodes)
 
     @property
     def pin(self):
@@ -290,23 +301,31 @@ class GeneratorMatrix:
                 "is strongly connected") from exc
 
 
+def _lift(nodes):
+    """(..., dim) nodes as (..., 3) points, the missing coordinates zero."""
+    pts = np.zeros(nodes.shape[:-1] + (3,))
+    pts[..., :nodes.shape[-1]] = nodes
+    return pts
+
+
 def _model_drift_nd(p: PhysParams, nodes):
-    X = np.zeros((3, nodes.shape[0]))
-    X[:nodes.shape[1]] = nodes.T
     with np.errstate(all="ignore"):
-        B = drift_components(p, X)
+        B = drift_components(p, _lift(nodes).T)
     return np.nan_to_num(B[:nodes.shape[1]]).T
 
 
 def _model_weight(p: PhysParams, nodes):
-    pts = np.zeros((nodes.shape[0], 3))
-    pts[:, :nodes.shape[1]] = nodes
     with np.errstate(all="ignore"):
-        lw = log_invariant_density(p, pts)
+        lw = log_invariant_density(p, _lift(nodes))
     lw = np.where(np.isfinite(lw), lw, -np.inf)
     lw -= np.max(lw)
     w = np.exp(lw)
     return w / w.sum()
+
+
+def _active(grid: GridSpec, mesh):
+    """Mask of the mesh nodes outside the excluded ball: the active nodes."""
+    return sum(m * m for m in mesh) > grid.excluded ** 2
 
 
 def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
@@ -335,8 +354,7 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
                 f"ridge (need < {wmin / 4:.4g})")
 
     mesh = grid.mesh()
-    R2 = sum(m * m for m in mesh)
-    active = R2 > grid.excluded ** 2
+    active = _active(grid, mesh)
     N = int(active.sum())
     if N < 3:
         raise ResolutionError(
@@ -376,13 +394,8 @@ def build_generator(p: PhysParams, grid: GridSpec, drift_fn="model",
                         np.concatenate([nbr[has], np.arange(N)]))),
                       shape=(N, N))
 
-    if weight_fn is None:
-        w = np.full(N, 1.0 / N)
-    else:
-        w = _model_weight(p, nodes)
-
-    return GeneratorMatrix(matrix=Q, weight=w, nodes=nodes, grid=grid,
-                           params=p, interior=interior)
+    return GeneratorMatrix(matrix=Q, model_weight=weight_fn is not None,
+                           nodes=nodes, grid=grid, params=p, interior=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -508,28 +521,46 @@ def adjoint_residual(G: GeneratorMatrix):
     Computes |Q^T rho + lapS rho|_1 / |lapS rho|_1 over safely interior
     nodes, with rho = exp(2 R / eps^2) (no tangential factor) and lapS
     the scaled phase Laplacian from central differences of the
-    closed-form gradient.  First-order upwinding makes this O(h).
+    closed-form gradient.  That gradient is evaluated once, on the mesh
+    grown by one ring of nodes, at the points the active nodes' stencils
+    reach; the differences are slices of it.  First-order upwinding makes
+    this O(h).
     """
-    p = G.params
-    nodes = G.nodes
-    dim = G.grid.dim
-    h = G.grid.h
-    pts = np.zeros((nodes.shape[0], 3))
-    pts[:, :dim] = nodes
+    p, grid = G.params, G.grid
+    h, dim = grid.h, grid.dim
+    pts = _lift(G.nodes)
     with np.errstate(all="ignore"):
         lw = 2.0 * np.real(log_wave(p, pts))
     lw = np.where(np.isfinite(lw), lw, -np.inf)
     rho = np.exp(lw - np.nanmax(lw))
 
-    # scaled phase Laplacian: divergence of eps^2 grad S by central FD
-    lap_s = np.zeros(nodes.shape[0])
+    # scaled phase Laplacian: divergence of eps^2 grad S by central FD.
+    # The ring mesh's inner block is the grid's mesh.  The gradient is
+    # evaluated only where an active node's stencil reaches, so the inner
+    # part of the excluded ball, which may hold the origin, is left out.
+    ring = np.meshgrid(*(lo + (np.arange(-1, grid.n + 1) + 0.5) * h
+                         for lo, _ in grid.box), indexing="ij")
+    inner = (slice(1, -1),) * dim
+    up, down = slice(2, None), slice(None, -2)
+
+    def shifted(axis, s):
+        return inner[:axis] + (s,) + inner[axis + 1:]
+
+    active = _active(grid, [m[inner] for m in ring])
+    reach = np.zeros(ring[0].shape, dtype=bool)
     for axis in range(dim):
-        for sgn in (+1, -1):
-            q = pts.copy()
-            q[:, axis] += sgn * h
-            with np.errstate(all="ignore"):
-                gs = wave_gradients(p, q)[1][:, axis] * p.eps ** 2
-            lap_s += sgn * np.nan_to_num(gs) / (2 * h)
+        for s in (up, down):
+            reach[shifted(axis, s)] |= active
+    with np.errstate(all="ignore"):
+        gs = wave_gradients(
+            p, _lift(np.stack([m[reach] for m in ring], axis=-1)))[1] \
+            * p.eps ** 2
+    lap_s = np.zeros(G.n_nodes)
+    for axis in range(dim):
+        ga = np.zeros(reach.shape)
+        ga[reach] = gs[:, axis]
+        for sgn, s in ((+1, up), (-1, down)):
+            lap_s += sgn * np.nan_to_num(ga[shifted(axis, s)][active]) / (2 * h)
 
     # keep nodes whose FD stencil does not straddle the phase jump set
     x = pts[:, 0]
@@ -537,7 +568,7 @@ def adjoint_residual(G: GeneratorMatrix):
     z = pts[:, 2]
     near_jump = (np.abs(y) <= 1.5 * h) & in_jump_set(p, x, z, pad=2 * h)
     r = radius(pts)
-    mask = G.interior & ~near_jump & (r > G.grid.excluded + 2 * h) \
+    mask = G.interior & ~near_jump & (r > grid.excluded + 2 * h) \
         & np.isfinite(lap_s)
     resid = np.abs(G.matrix.T @ rho + lap_s * rho)
     denom = np.abs(lap_s * rho)
@@ -658,7 +689,11 @@ def gap_from_autocorrelation(ens: TrajectoryEnsemble, *,
 # ---------------------------------------------------------------------------
 
 def default_bump(p: PhysParams, width=None):
-    """Smooth compactly supported bump centred at the perihelion point."""
+    """Smooth compactly supported bump centred at the perihelion point.
+
+    f = (1 - |x - c|^2 / W^2)^3 inside the disc of radius W and +0.0
+    outside it and on its rim; the cube is taken on the support only.
+    """
     c = ellipse_point(p, 0.0)
     W = width if width is not None else 0.4 * p.a
 
@@ -668,7 +703,10 @@ def default_bump(p: PhysParams, width=None):
         if dd.shape[-1] == 3:
             d2 = d2 + dd[..., 2]
         t = 1.0 - d2 / W ** 2
-        return np.where(t > 0, t, 0.0) ** 3
+        out = np.zeros(t.shape)
+        on = t > 0
+        out[on] = t[on] ** 3
+        return out
 
     return f
 
@@ -694,6 +732,14 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
     finite on the grid; f = 0 gives zeros.  The residual decreases under
     grid refinement down to the floor set by the ansatz density being
     invariant only through the leading order.
+
+    f is evaluated and checked on the whole mesh, as it may be any
+    function.  The stencils then run on the bounding box of f's support
+    grown by two nodes and clipped to the mesh.  A margin of one would not
+    do: a node one step outside the support has f = 0 but a nonzero
+    central gradient, so it belongs to K and must lie in the crop's
+    interior.  With two, K, its order and every stencil value are those
+    of the whole mesh, so lhs, rhs and the residual keep their bits.
     """
     if grid.dim != 2:
         raise ConfigError("the Dirichlet check runs on the 2d restriction")
@@ -708,6 +754,12 @@ def dirichlet_form_residual(p: PhysParams, grid: GridSpec, f=None) -> DirichletC
                np.max(np.abs(F[:, 0])), np.max(np.abs(F[:, -1])))
     if edge != 0 and np.ptp(F) != 0:
         raise ConfigError("test function must be supported inside the grid")
+    # crop to f's support grown by two nodes (see above)
+    support = [np.flatnonzero(F.any(axis=1 - axis)) for axis in range(2)]
+    if support[0].size == 0:
+        return DirichletCheck(lhs=0.0, rhs=0.0, residual=0.0)
+    crop = tuple(slice(max(i[0] - 2, 0), i[-1] + 3) for i in support)
+    F, pts = F[crop], pts[crop]
     # interior-only stencils; the outer ring never contributes for
     # compactly supported f and drops out exactly for constants
     C = F[1:-1, 1:-1]

@@ -29,3 +29,14 @@ def test_benchmark_gap_matrix_matches_its_reference(monkeypatch):
                                   ref["gap_matrix"])
     assert len(checks) == 9
     assert all(ok is True for _, ok in checks), checks
+
+
+def test_benchmark_proof_checks_pass(monkeypatch):
+    # the benchmark's proof_checks pass (C1, C3, C6 and C8): every
+    # criterion's flag must be True, as the benchmark checks it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    result = workloads.proof_pass(0, None, lambda name: contextlib.nullcontext())
+    checks = workloads.proof_checks(workloads.proof_summarize(result), None)
+    assert len(checks) == len(workloads.PROOF_CRITERIA)
+    assert all(ok is True for _, ok in checks), checks

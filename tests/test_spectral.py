@@ -554,6 +554,91 @@ def test_stationary_vector_converges_to_weight():
     assert errs[1] < errs[0]  # first-order approach to the ansatz weight
 
 
+def _count_density_calls(monkeypatch):
+    calls = []
+    inner = spectral.log_invariant_density
+
+    def counting(p, pts):
+        calls.append(len(pts))
+        return inner(p, pts)
+
+    monkeypatch.setattr(spectral, "log_invariant_density", counting)
+    return calls
+
+
+def test_generator_weight_computed_on_first_read(monkeypatch):
+    calls = _count_density_calls(monkeypatch)
+    p = PhysParams(ecc=0.5, eps=0.3)
+    G = build_generator(p, production_grid_2d(p, n=120))
+    adjoint_residual(G)
+    assert calls == []
+    w = G.weight
+    assert calls == [G.n_nodes]
+    assert G.weight is w and len(calls) == 1
+    assert_bitwise_equal(w, _model_weight(p, G.nodes))
+
+
+def test_uniform_weight_reads_no_density(monkeypatch):
+    calls = _count_density_calls(monkeypatch)
+    G = _neumann_2d()
+    assert_bitwise_equal(G.weight, np.full(G.n_nodes, 1.0 / G.n_nodes))
+    assert calls == []
+
+
+def test_lazy_weight_gives_the_same_gap():
+    # a fresh generator reads its weight inside gap_from_matrix (the pin,
+    # then the residual norm); one whose weight was read first must agree
+    eager = _model_n80()
+    eager.weight
+    lazy = _model_n80()
+    assert "weight" not in vars(lazy)
+    assert gap_from_matrix(lazy) == gap_from_matrix(eager)
+    assert lazy.pin == eager.pin
+    assert_bitwise_equal(lazy.weight, eager.weight)
+
+
+def _adjoint_residual_shifted_copies(G):
+    """The adjoint residual with the phase Laplacian from wave_gradients on
+    four shifted copies of the nodes, one component of each (oracle)."""
+    p, h, dim = G.params, G.grid.h, G.grid.dim
+    pts = np.zeros((G.n_nodes, 3))
+    pts[:, :dim] = G.nodes
+    with np.errstate(all="ignore"):
+        lw = 2.0 * np.real(log_wave(p, pts))
+    lw = np.where(np.isfinite(lw), lw, -np.inf)
+    rho = np.exp(lw - np.nanmax(lw))
+    lap_s = np.zeros(G.n_nodes)
+    for axis in range(dim):
+        for sgn in (+1, -1):
+            q = pts.copy()
+            q[:, axis] += sgn * h
+            with np.errstate(all="ignore"):
+                gs = wave_gradients(p, q)[1][:, axis] * p.eps ** 2
+            lap_s += sgn * np.nan_to_num(gs) / (2 * h)
+    near_jump = (np.abs(pts[:, 1]) <= 1.5 * h) & spectral.in_jump_set(
+        p, pts[:, 0], pts[:, 2], pad=2 * h)
+    r = np.sqrt(np.sum(pts * pts, axis=1))
+    mask = G.interior & ~near_jump & (r > G.grid.excluded + 2 * h) \
+        & np.isfinite(lap_s)
+    resid = np.abs(G.matrix.T @ rho + lap_s * rho)
+    return float(resid[mask].sum() / np.abs(lap_s * rho)[mask].sum())
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(lambda p: production_grid_2d(p, n=120), id="n120"),
+    pytest.param(lambda p: production_grid_2d(p, n=240), id="n240"),
+    # a node at the origin, inside the excluded ball: no active node's
+    # stencil reaches it, so it must not be evaluated
+    pytest.param(lambda p: GridSpec(dim=2, box=((-1, 1), (-1, 1)), n=101,
+                                    excluded=0.1), id="origin_node"),
+])
+def test_adjoint_residual_matches_shifted_copies(grid):
+    p = PhysParams(ecc=0.5, eps=0.3)
+    G = build_generator(p, grid(p))
+    want = _adjoint_residual_shifted_copies(G)
+    assert abs(adjoint_residual(G) / want - 1) <= 1e-12
+
+
 def test_adjoint_residual_first_order():
     p = PhysParams(ecc=0.5, eps=0.3)
     res = [adjoint_residual(build_generator(p, production_grid_2d(p, n=n)))
@@ -591,10 +676,16 @@ def test_default_bump_keeps_the_reduction_bits(dim):
     W = 0.4 * p.a
     c = ellipse_point(p, 0.0)[:dim]
     pts = c + np.random.default_rng(dim).uniform(-W, W, (40, 30, dim))
+    pts[0, 0] = c                     # the centre: t = 1
+    pts[0, 1] = c + np.eye(dim)[1] * W  # on the rim: t == 0 exactly
     t = 1.0 - np.sum((pts - c) ** 2, axis=-1) / W ** 2
+    assert t[0, 0] == 1.0 and t[0, 1] == 0.0
     want = np.where(t > 0, t, 0.0) ** 3
     assert np.count_nonzero(want) > 100
-    assert_bitwise_equal(default_bump(p)(pts), want)
+    got = default_bump(p)(pts)
+    assert_bitwise_equal(got, want)
+    assert got[0, 0] == 1.0 and got[0, 1] == 0.0
+    assert not np.signbit(got).any()
 
 
 def _clipped_ramp(p):
@@ -667,6 +758,86 @@ def test_dirichlet_matches_full_mesh_oracle(which, n):
     chk = dirichlet_form_residual(p, grid, f=f)
     assert chk.residual == pytest.approx(resid, rel=1e-12, abs=0)
     assert chk.lhs / chk.rhs == pytest.approx(lhs / rhs, rel=1e-12, abs=0)
+
+
+def _dirichlet_uncropped(p, grid, f):
+    """The Dirichlet check with its slice stencils on the whole mesh and
+    drift and weight on K (oracle)."""
+    h = grid.h
+    pts = np.stack(grid.mesh(), axis=-1)
+    F = f(pts)
+    C = F[1:-1, 1:-1]
+    fx = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2 * h)
+    fy = (F[1:-1, 2:] - F[1:-1, :-2]) / (2 * h)
+    lap = (F[2:, 1:-1] + F[:-2, 1:-1] + F[1:-1, 2:] + F[1:-1, :-2]
+           - 4 * C) / (h * h)
+    keep = (C != 0) | (fx != 0) | (fy != 0)
+    if not keep.any():
+        return 0.0, 0.0, 0.0
+    C, fx, fy, lap = C[keep], fx[keep], fy[keep], lap[keep]
+    nodes = pts[1:-1, 1:-1][keep]
+    bx, by = _model_drift_nd(p, nodes).T
+    w = _model_weight(p, nodes)
+    Gf = 0.5 * p.eps ** 2 * lap + bx * fx + by * fy
+    lhs = -float(np.sum(w * C * Gf))
+    rhs = 0.5 * p.eps ** 2 * float(np.sum(w * (fx * fx + fy * fy)))
+    return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
+def _bump_at(c, W):
+    def f(xy):
+        t = 1.0 - np.sum((xy - c) ** 2, axis=-1) / W ** 2
+        return np.where(t > 0, t, 0.0) ** 3
+    return f
+
+
+def _assert_crop_keeps_the_bits(p, grid, f):
+    chk = dirichlet_form_residual(p, grid, f=f)
+    lhs, rhs, resid = _dirichlet_uncropped(p, grid, f)
+    assert_bitwise_equal([chk.lhs, chk.rhs, chk.residual], [lhs, rhs, resid])
+    return chk
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+@pytest.mark.parametrize("which", ["bump", "ramp", "constant", "zero"])
+def test_dirichlet_crop_keeps_the_bits(which, n):
+    p = PhysParams(ecc=0.5, eps=0.3)
+    a = p.a
+    f = {"bump": default_bump(p), "ramp": _clipped_ramp(p),
+         "constant": lambda xy: np.ones(xy.shape[:-1]),
+         "zero": lambda xy: np.zeros(xy.shape[:-1])}[which]
+    grid = GridSpec(dim=2, box=((-2 * a, 2 * a), (-2 * a, 2 * a)), n=n)
+    chk = _assert_crop_keeps_the_bits(p, grid, f)
+    assert (chk.rhs > 0) == (which in ("bump", "ramp"))
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("gap", [1, 2, 3])
+def test_dirichlet_crop_near_the_box_edge(gap, side):
+    # the support's outermost nodes lie gap nodes from the mesh's edge
+    # along both axes, so the two-node margin is clipped (gap 1), ends on
+    # the edge (gap 2) or stays inside (gap 3)
+    p = PhysParams(ecc=0.5, eps=0.3)
+    grid = GridSpec(dim=2, box=((-2.0, 2.0), (-2.0, 2.0)), n=100)
+    x, h, W = grid.axes()[0], grid.h, 0.3
+    c = (x[gap] + W - h / 4 if side == "low"
+         else x[-1 - gap] - W + h / 4) * np.ones(2)
+    f = _bump_at(c, W)
+    F = f(np.stack(grid.mesh(), axis=-1))
+    rows = np.flatnonzero(F.any(axis=1))
+    cols = np.flatnonzero(F.any(axis=0))
+    edge = gap if side == "low" else grid.n - 1 - gap
+    assert edge in (rows[0], rows[-1]) and edge in (cols[0], cols[-1])
+    assert _assert_crop_keeps_the_bits(p, grid, f).rhs > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dirichlet_tiny_grids_give_zeros(n):
+    p = PhysParams(ecc=0.5, eps=0.3)
+    a = p.a
+    grid = GridSpec(dim=2, box=((-2 * a, 2 * a), (-2 * a, 2 * a)), n=n)
+    chk = _assert_crop_keeps_the_bits(p, grid, default_bump(p))
+    assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.residual == 0.0
 
 
 def test_dirichlet_zero_function():
